@@ -1,6 +1,7 @@
 #include "war_detector.hpp"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
 
 namespace ticsim::analysis {
@@ -79,15 +80,13 @@ WarHazardDetector::analyze(
             WarHazard h;
             h.addr = hazardBytes[i];
             h.bytes = static_cast<std::uint32_t>(j - i);
-            if (const mem::NvRegion *r = ram_.regionAt(h.addr)) {
-                // assign() instead of operator= sidesteps GCC 12's
-                // bogus -Wrestrict on string copy-assignment (PR105329).
-                h.region.assign(r->name.data(), r->name.size());
-                h.offset = h.addr - r->base;
-            } else {
-                h.region = "?";
-                h.offset = 0;
-            }
+            const mem::NvRegion *r = ram_.regionAt(h.addr);
+            const std::string_view name =
+                r != nullptr ? std::string_view(r->name) : "?";
+            // assign() instead of operator= sidesteps GCC 12's bogus
+            // -Wrestrict on string assignment at -O3 (PR105329).
+            h.region.assign(name.data(), name.size());
+            h.offset = r != nullptr ? h.addr - r->base : 0;
             h.boot = iv.boot;
             h.interval = idx;
             h.materialized = materialized;

@@ -95,7 +95,9 @@ spawnWorker(const FleetConfig &cfg, const std::string &workerBin,
     hello["spec"] = sweep::formatSpec(cfg.sweep.grid);
     hello["indices"] = joinIndices(indices);
     hello["shard"] = std::to_string(shard);
-    hello["use_cache"] = cfg.sweep.useCache ? "1" : "0";
+    // Literals go through std::string temporaries: assigning a char
+    // pointer trips GCC 12's bogus -Wrestrict at -O3 (PR105329).
+    hello["use_cache"] = std::string(cfg.sweep.useCache ? "1" : "0");
     hello["cache_dir"] = cfg.sweep.cacheDir;
     hello["budget_ns"] = std::to_string(cfg.sweep.budget);
     hello["unprotected_budget_ns"] =
@@ -104,7 +106,7 @@ spawnWorker(const FleetConfig &cfg, const std::string &workerBin,
         remainingMs > 0.0
             ? std::to_string(static_cast<long long>(remainingMs))
             : std::string();
-    hello["die_after"] = dieAfterOne ? "1" : "";
+    hello["die_after"] = std::string(dieAfterOne ? "1" : "");
     const std::string wire = encodeFrame(hello);
     std::size_t off = 0;
     bool wrote = true;

@@ -1,6 +1,9 @@
 #include "events.hpp"
 
+#include <algorithm>
+
 #include "perf/counters.hpp"
+#include "support/logging.hpp"
 
 namespace ticsim::telemetry {
 
@@ -24,27 +27,36 @@ eventName(EventKind k)
 }
 
 EventRing::EventRing(std::uint32_t capacity)
-    : buf_(capacity > 0 ? capacity : 1)
+    : capacity_(capacity > 0 ? capacity : 1)
 {
+}
+
+void
+EventRing::grow()
+{
+    // Doubling keeps emit() amortised O(1); the first step is small
+    // because a grid cell records about a hundred events.
+    constexpr std::size_t kFirstStep = 256;
+    const std::size_t want = std::max(kFirstStep, 2 * buf_.size());
+    buf_.resize(std::min<std::size_t>(want, capacity_));
 }
 
 void
 EventRing::emit(EventKind kind, TimeNs at, std::uint64_t arg0,
                 std::uint64_t arg1)
 {
-    const auto cap = static_cast<std::uint32_t>(buf_.size());
-    std::uint32_t slot;
     ++perf::hot().eventPushes;
-    if (count_ < cap) {
-        slot = (head_ + count_) % cap;
-        ++count_;
-    } else {
-        slot = head_;  // overwrite the oldest
-        head_ = (head_ + 1) % cap;
-        ++dropped_;
-        ++perf::hot().eventDrops;
+    const Event e{at, arg0, arg1, kind};
+    if (count_ < capacity_) {
+        if (count_ == buf_.size())
+            grow();
+        buf_[count_++] = e;  // not full, so head_ == 0
+        return;
     }
-    buf_[slot] = Event{at, arg0, arg1, kind};
+    buf_[head_] = e;  // overwrite the oldest
+    head_ = head_ + 1 < capacity_ ? head_ + 1 : 0;
+    ++dropped_;
+    ++perf::hot().eventDrops;
 }
 
 std::vector<Event>
@@ -52,9 +64,8 @@ EventRing::snapshot() const
 {
     std::vector<Event> out;
     out.reserve(count_);
-    const auto cap = static_cast<std::uint32_t>(buf_.size());
     for (std::uint32_t i = 0; i < count_; ++i)
-        out.push_back(buf_[(head_ + i) % cap]);
+        out.push_back(buf_[(head_ + i) % capacity_]);
     return out;
 }
 
@@ -69,6 +80,11 @@ EventRing::clear()
 bool
 EventRing::rewind(const Mark &m)
 {
+    // emit() and snapshot() rely on this: storage never shrinks, and
+    // a ring short of full has not wrapped.
+    TICSIM_ASSERT(m.count <= buf_.size() &&
+                      (m.head == 0 || m.count == capacity_),
+                  "EventRing::rewind: mark from another ring");
     const bool exact = dropped_ == m.dropped;
     head_ = m.head;
     count_ = m.count;

@@ -2,11 +2,21 @@
  * @file
  * Bounded virtual-time event timeline.
  *
- * A fixed-capacity ring of typed events, each stamped with the board's
- * true virtual time at emission. The ring is preallocated once and
- * emit() is a couple of stores, so recording is safe on the charge
- * path; when the ring fills, the oldest events are overwritten and a
- * drop counter records how many were lost (the exporter reports it).
+ * A bounded ring of typed events, each stamped with the board's true
+ * virtual time at emission. The capacity is a maximum, not an upfront
+ * allocation: the ring starts with no storage and emit() grows it
+ * geometrically until it holds `capacity()` events, so a short run
+ * (one grid cell) pays for the events it records rather than for a
+ * zeroed 2 MiB buffer. Once the ring is full, the oldest
+ * events are overwritten and a drop counter records how many were
+ * lost (the exporter reports it); drop accounting, snapshot() order
+ * and Mark/rewind() do not depend on how far the storage has grown.
+ *
+ * emit() may therefore allocate while the app fiber runs. That does
+ * not break the "heap-free on the simulated stack" rule: the buffer
+ * belongs to the Board, not to the simulated stack, and emit()
+ * contains no charge point, which is the only place a power failure
+ * abandons a context, so a growth step always completes.
  *
  * Events are host-side observability only — emitting charges no
  * cycles, so enabling the timeline cannot change modeled results.
@@ -53,9 +63,12 @@ struct Event {
 class EventRing
 {
   public:
+    /** A ring holding at most @p capacity events (0 is taken as 1);
+     *  no storage is allocated until the first emit(). */
     explicit EventRing(std::uint32_t capacity = 1 << 16);
 
-    /** Append an event; overwrites the oldest when full. */
+    /** Append an event, growing the storage while below capacity;
+     *  overwrites the oldest when full. */
     void emit(EventKind kind, TimeNs at, std::uint64_t arg0 = 0,
               std::uint64_t arg1 = 0);
 
@@ -63,10 +76,9 @@ class EventRing
     std::vector<Event> snapshot() const;
 
     std::uint32_t size() const { return count_; }
-    std::uint32_t capacity() const
-    {
-        return static_cast<std::uint32_t>(buf_.size());
-    }
+    /** Maximum number of events held (the configured capacity,
+     *  however much storage has been allocated so far). */
+    std::uint32_t capacity() const { return capacity_; }
 
     /** Events overwritten because the ring was full. */
     std::uint64_t dropped() const { return dropped_; }
@@ -90,11 +102,18 @@ class EventRing
 
     Mark mark() const { return Mark{head_, count_, dropped_}; }
 
-    /** @return true iff the rewind is exact (no drops since @p m). */
+    /** @return true iff the rewind is exact (no drops since @p m).
+     *  @p m must come from mark() on this ring. */
     bool rewind(const Mark &m);
 
   private:
+    void grow();
+
+    /// Storage; grows on demand and never shrinks. While the ring is
+    /// not full nothing has been overwritten, so head_ == 0 and the
+    /// events are the prefix [0, count_).
     std::vector<Event> buf_;
+    std::uint32_t capacity_;
     std::uint32_t head_ = 0;  ///< index of the oldest event
     std::uint32_t count_ = 0;
     std::uint64_t dropped_ = 0;

@@ -34,9 +34,11 @@ struct DynamicEvidence {
 std::size_t
 countDuplicateSends(board::Board &b)
 {
-    std::map<std::vector<std::uint8_t>, std::size_t> seen;
+    // String keys, not byte vectors: GCC 12 at -O3 reports a false
+    // -Wstringop-overread inside vector's operator<=>.
+    std::map<std::string, std::size_t> seen;
     for (const auto &p : b.radio().packets())
-        ++seen[p.payload];
+        ++seen[std::string(p.payload.begin(), p.payload.end())];
     std::size_t dups = 0;
     for (const auto &[payload, n] : seen) {
         if (n > 1)

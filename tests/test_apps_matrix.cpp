@@ -66,6 +66,15 @@ struct MatrixCase {
     std::uint32_t segBytes; ///< only used by TICS cases
 };
 
+// gtest prints the parameter into every listed case name. Its default
+// byte dump would include the `name` pointer, which moves with address
+// space randomization, so print the case name instead.
+void
+PrintTo(const MatrixCase &mc, std::ostream *os)
+{
+    *os << mc.name;
+}
+
 class AppMatrix : public ::testing::TestWithParam<MatrixCase>
 {
 };

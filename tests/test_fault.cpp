@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <vector>
 
 #include "energy/supply.hpp"
 #include "fault/campaign.hpp"
@@ -37,6 +38,69 @@ TEST(Crc32, ChainingEqualsOneShot)
     const std::uint32_t chained = crc32(buf + 5, n - 5, crc32(buf, 5));
     EXPECT_EQ(chained, oneShot);
     EXPECT_NE(crc32(buf, n - 1), oneShot);
+}
+
+namespace {
+
+/** Bytewise reference CRC-32 (reflected 0xEDB88320), one bit at a
+ *  time, against which the table-driven implementation is checked. */
+std::uint32_t
+referenceCrc32(const std::uint8_t *p, std::size_t n, std::uint32_t seed)
+{
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t>
+pseudoRandomBytes(std::size_t n)
+{
+    std::vector<std::uint8_t> v(n);
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (auto &b : v) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        b = static_cast<std::uint8_t>(x >> 24);
+    }
+    return v;
+}
+
+} // namespace
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
+{
+    // Every length around the 8-byte step and its tail, plus a few
+    // multi-KiB ones, each at every start offset within a word.
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 64; ++n)
+        lengths.push_back(n);
+    for (std::size_t n : {2048u, 4099u, 8191u})
+        lengths.push_back(n);
+    const auto buf = pseudoRandomBytes(8191 + 8);
+    for (std::size_t off = 0; off < 8; ++off)
+        for (std::size_t n : lengths)
+            for (std::uint32_t seed : {0u, 0xDEADBEEFu})
+                EXPECT_EQ(crc32(buf.data() + off, n, seed),
+                          referenceCrc32(buf.data() + off, n, seed))
+                    << "offset " << off << " length " << n;
+}
+
+TEST(Crc32, ChainingAtEverySplitPointEqualsOneShot)
+{
+    const auto buf = pseudoRandomBytes(1024 + 3);
+    for (std::size_t n : {64u, 1027u}) {
+        const std::uint32_t oneShot = crc32(buf.data(), n);
+        for (std::size_t split = 0; split <= n; ++split)
+            EXPECT_EQ(crc32(buf.data() + split, n - split,
+                            crc32(buf.data(), split)),
+                      oneShot)
+                << "length " << n << " split " << split;
+    }
 }
 
 // ---- Reset-pattern supply edges --------------------------------------------

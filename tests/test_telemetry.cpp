@@ -154,22 +154,25 @@ TEST(EventRing, MultiWrapDropAccountingStaysExact)
 {
     // Drive the ring through several full wraps plus a remainder and
     // check the drop counter accounts for every evicted event, not
-    // just the last wrap's worth.
-    constexpr std::size_t kCap = 3;
-    constexpr std::uint64_t kWraps = 5;
-    constexpr std::uint64_t kRemainder = 2;
-    constexpr std::uint64_t kTotal = kWraps * kCap + kRemainder; // 17
-    EventRing ring(kCap);
-    for (std::uint64_t i = 0; i < kTotal; ++i)
-        ring.emit(EventKind::Boot, i * 10, i);
-    EXPECT_EQ(ring.size(), kCap);
-    EXPECT_EQ(ring.dropped(), kTotal - kCap);
-    const auto events = ring.snapshot();
-    ASSERT_EQ(events.size(), kCap);
-    // The survivors are exactly the newest kCap, oldest-first.
-    for (std::size_t i = 0; i < kCap; ++i) {
-        EXPECT_EQ(events[i].arg0, kTotal - kCap + i);
-        EXPECT_EQ(events[i].at, (kTotal - kCap + i) * 10);
+    // just the last wrap's worth. The large capacity makes the ring
+    // grow from empty through several reallocations before it wraps.
+    for (const std::uint64_t cap : {3u, 1000u}) {
+        SCOPED_TRACE(cap);
+        constexpr std::uint64_t kWraps = 5;
+        constexpr std::uint64_t kRemainder = 2;
+        const std::uint64_t total = kWraps * cap + kRemainder;
+        EventRing ring(static_cast<std::uint32_t>(cap));
+        for (std::uint64_t i = 0; i < total; ++i)
+            ring.emit(EventKind::Boot, i * 10, i);
+        EXPECT_EQ(ring.size(), cap);
+        EXPECT_EQ(ring.dropped(), total - cap);
+        const auto events = ring.snapshot();
+        ASSERT_EQ(events.size(), cap);
+        // The survivors are exactly the newest cap, oldest-first.
+        for (std::size_t i = 0; i < cap; ++i) {
+            EXPECT_EQ(events[i].arg0, total - cap + i);
+            EXPECT_EQ(events[i].at, (total - cap + i) * 10);
+        }
     }
 }
 
@@ -200,6 +203,81 @@ TEST(EventRing, ClearResets)
     ring.clear();
     EXPECT_EQ(ring.size(), 0u);
     EXPECT_TRUE(ring.snapshot().empty());
+}
+
+TEST(EventRing, CapacityIsTheConfiguredMaximumBeforeAnyEmit)
+{
+    EXPECT_EQ(EventRing().capacity(), 1u << 16);
+    EXPECT_EQ(EventRing(5000).capacity(), 5000u);
+    EventRing ring(5000);
+    ring.emit(EventKind::Boot, 1);
+    EXPECT_EQ(ring.capacity(), 5000u);
+}
+
+namespace {
+
+void
+emitRange(EventRing &ring, std::uint64_t from, std::uint64_t to)
+{
+    for (std::uint64_t i = from; i < to; ++i)
+        ring.emit(EventKind::PhaseSlice, i * 7, i, i * 3);
+}
+
+void
+expectSameEvents(const std::vector<Event> &a, const std::vector<Event> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].at, b[i].at) << i;
+        EXPECT_EQ(a[i].arg0, b[i].arg0) << i;
+        EXPECT_EQ(a[i].arg1, b[i].arg1) << i;
+        EXPECT_EQ(a[i].kind, b[i].kind) << i;
+    }
+}
+
+} // namespace
+
+TEST(EventRing, RewindAcrossAGrowthStepIsExact)
+{
+    // Mark early, emit far enough that the storage is reallocated
+    // (more than once), rewind, then take a different path: the
+    // timeline must equal a fresh ring fed only the surviving events.
+    constexpr std::uint64_t kMarkAt = 100;
+    EventRing ring(4096);
+    emitRange(ring, 0, kMarkAt);
+    const EventRing::Mark m = ring.mark();
+    emitRange(ring, kMarkAt, 1500);
+    EXPECT_TRUE(ring.rewind(m));
+    EXPECT_EQ(ring.size(), kMarkAt);
+    emitRange(ring, 5000, 5700);
+
+    EventRing fresh(4096);
+    emitRange(fresh, 0, kMarkAt);
+    emitRange(fresh, 5000, 5700);
+    expectSameEvents(ring.snapshot(), fresh.snapshot());
+    EXPECT_EQ(ring.dropped(), fresh.dropped());
+}
+
+TEST(EventRing, RewindRejectsAMarkFromAnotherRing)
+{
+    // The mark covers more events than this ring has storage for.
+    EventRing big(4096);
+    emitRange(big, 0, 1000);
+    EventRing fresh(4096);
+    EXPECT_DEATH(fresh.rewind(big.mark()), "mark from another ring");
+}
+
+TEST(EventRing, RewindAfterAWrapIsInexact)
+{
+    EventRing ring(300);
+    emitRange(ring, 0, 10);
+    const EventRing::Mark m = ring.mark();
+    emitRange(ring, 10, 400);  // grows to 300, then overwrites
+    ASSERT_GT(ring.dropped(), 0u);
+    EXPECT_FALSE(ring.rewind(m));
+    // The counters still match the mark's view of the ring.
+    EXPECT_EQ(ring.size(), 10u);
+    EXPECT_EQ(ring.dropped(), 0u);
 }
 
 // ---- cycle conservation across the runtime matrix --------------------------
