@@ -1,7 +1,6 @@
 #include "capacitor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/logging.hpp"
 
@@ -20,39 +19,11 @@ Capacitor::Capacitor(Farads capacitance, Volts vMax, Volts vInitial,
 }
 
 Joules
-Capacitor::energy() const
-{
-    return 0.5 * capacitance_ * voltage_ * voltage_;
-}
-
-Joules
 Capacitor::energyAbove(Volts vFloor) const
 {
     if (voltage_ <= vFloor)
         return 0.0;
     return 0.5 * capacitance_ * (voltage_ * voltage_ - vFloor * vFloor);
-}
-
-void
-Capacitor::charge(Joules j)
-{
-    if (j <= 0.0)
-        return;
-    const Joules eMax = 0.5 * capacitance_ * vMax_ * vMax_;
-    const Joules e = std::min(energy() + j, eMax);
-    voltage_ = std::sqrt(2.0 * e / capacitance_);
-}
-
-Joules
-Capacitor::discharge(Joules j)
-{
-    if (j <= 0.0)
-        return 0.0;
-    const Joules have = energy();
-    const Joules took = std::min(j, have);
-    const Joules e = have - took;
-    voltage_ = std::sqrt(2.0 * e / capacitance_);
-    return took;
 }
 
 void

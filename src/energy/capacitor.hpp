@@ -9,6 +9,9 @@
 #ifndef TICSIM_ENERGY_CAPACITOR_HPP
 #define TICSIM_ENERGY_CAPACITOR_HPP
 
+#include <algorithm>
+#include <cmath>
+
 #include "support/units.hpp"
 
 namespace ticsim::energy {
@@ -30,7 +33,7 @@ class Capacitor
               Watts leakageW = 0.0);
 
     Volts voltage() const { return voltage_; }
-    Joules energy() const;
+    Joules energy() const { return 0.5 * capacitance_ * voltage_ * voltage_; }
     Farads capacitance() const { return capacitance_; }
     Watts leakage() const { return leakageW_; }
 
@@ -38,13 +41,29 @@ class Capacitor
     Joules energyAbove(Volts vFloor) const;
 
     /** Add harvested energy (clamped at vMax). */
-    void charge(Joules j);
+    void charge(Joules j)
+    {
+        if (j <= 0.0)
+            return;
+        const Joules eMax = 0.5 * capacitance_ * vMax_ * vMax_;
+        const Joules e = std::min(energy() + j, eMax);
+        voltage_ = std::sqrt(2.0 * e / capacitance_);
+    }
 
     /**
      * Remove energy.
      * @return the joules actually removed (the capacitor can run dry).
      */
-    Joules discharge(Joules j);
+    Joules discharge(Joules j)
+    {
+        if (j <= 0.0)
+            return 0.0;
+        const Joules have = energy();
+        const Joules took = std::min(j, have);
+        const Joules e = have - took;
+        voltage_ = std::sqrt(2.0 * e / capacitance_);
+        return took;
+    }
 
     /** Force the voltage (used when building specific test scenarios). */
     void setVoltage(Volts v);

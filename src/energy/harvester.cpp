@@ -53,6 +53,7 @@ RfHarvester::setFading(double sigmaDb, TimeNs blockNs, std::uint64_t seed)
     fadingSigmaDb_ = sigmaDb;
     fadingBlockNs_ = blockNs;
     fadingSeed_ = seed;
+    fadeBlock_.reset();
 }
 
 Watts
@@ -60,22 +61,26 @@ RfHarvester::power(TimeNs now)
 {
     if (fadingSigmaDb_ <= 0.0)
         return harvested_;
-    // Stateless per-block fade: hash the block index into an
-    // approximately normal dB offset (sum of three uniforms).
     const std::uint64_t block = now / fadingBlockNs_;
-    std::uint64_t x = block ^ fadingSeed_;
-    double acc = 0.0;
-    for (int i = 0; i < 3; ++i) {
-        x += 0x9E3779B97F4A7C15ULL;
-        std::uint64_t z = x;
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-        z ^= z >> 31;
-        acc += static_cast<double>(z >> 11) * 0x1.0p-53;
+    if (fadeBlock_ != block) {
+        // Stateless per-block fade: hash the block index into an
+        // approximately normal dB offset (sum of three uniforms).
+        std::uint64_t x = block ^ fadingSeed_;
+        double acc = 0.0;
+        for (int i = 0; i < 3; ++i) {
+            x += 0x9E3779B97F4A7C15ULL;
+            std::uint64_t z = x;
+            z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+            z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+            z ^= z >> 31;
+            acc += static_cast<double>(z >> 11) * 0x1.0p-53;
+        }
+        const double normal = (acc - 1.5) * 2.0; // ~N(0,1)
+        const double db = normal * fadingSigmaDb_;
+        fadeGain_ = std::pow(10.0, db / 10.0);
+        fadeBlock_ = block;
     }
-    const double normal = (acc - 1.5) * 2.0; // ~N(0,1)
-    const double db = normal * fadingSigmaDb_;
-    return harvested_ * std::pow(10.0, db / 10.0);
+    return harvested_ * fadeGain_;
 }
 
 void

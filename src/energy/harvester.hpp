@@ -16,6 +16,7 @@
 #define TICSIM_ENERGY_HARVESTER_HPP
 
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -109,6 +110,11 @@ class RfHarvester : public Harvester
     double fadingSigmaDb_ = 0.0;
     TimeNs fadingBlockNs_ = 50 * kNsPerMs;
     std::uint64_t fadingSeed_ = 0;
+    /** The last block's fading gain, a pure function of the block
+     *  index (distance does not enter it): every later call in that
+     *  block skips the std::pow. setFading() drops it. */
+    std::optional<std::uint64_t> fadeBlock_;
+    double fadeGain_ = 1.0;
 };
 
 /** Piecewise-constant power trace: (start time, power) breakpoints. */

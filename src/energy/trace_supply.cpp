@@ -1,10 +1,12 @@
 #include "trace_supply.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -93,6 +95,10 @@ EnvTrace::parse(const std::string &text, const std::string &origin,
         if (!std::isfinite(timeS) || !std::isfinite(powerW) ||
             timeS < 0.0 || powerW < 0.0)
             return bad("time and power must be finite and >= 0");
+        // Before the cast, which is undefined out of range; the bound
+        // leaves headroom for startOffset + deathTime + off.
+        if (timeS * 1e9 >= 0x1p62)
+            return bad("time must be below 2^62 ns (~146 years)");
         Sample s;
         s.time = static_cast<TimeNs>(timeS * 1e9);
         s.power = powerW;
@@ -178,6 +184,8 @@ EnvTrace::segmentAt(TimeNs t, bool wrap, TimeNs horizon) const
         v.end = t + horizon;
         v.maxPower = samples_.back().power;
         v.powerAtEnd = v.maxPower;
+        v.index = samples_.size() - 1;
+        v.start = dur;
         return v;
     }
     const TimeNs base = (t >= dur) ? (t / dur) * dur : 0;
@@ -190,12 +198,42 @@ EnvTrace::segmentAt(TimeNs t, bool wrap, TimeNs horizon) const
     v.end = base + hi.time;
     v.maxPower = std::max(lo.power, hi.power);
     v.powerAtEnd = hi.power;
+    v.index = static_cast<std::size_t>(it - 1 - samples_.begin());
+    v.start = base + lo.time;
     if (v.end > t + horizon) {
         v.end = t + horizon;
         v.powerAtEnd = power(v.end, wrap);
         // maxPower stays the segment-wide bound: conservative.
     }
     return v;
+}
+
+std::array<std::uint64_t, 6>
+EnvTrace::RampKey::bits() const
+{
+    return {segment,
+            std::bit_cast<std::uint64_t>(capacitance),
+            std::bit_cast<std::uint64_t>(vMax),
+            std::bit_cast<std::uint64_t>(vOn),
+            std::bit_cast<std::uint64_t>(leakage),
+            step};
+}
+
+std::optional<EnvTrace::Ramp>
+EnvTrace::findRamp(const RampKey &key) const
+{
+    std::lock_guard<std::mutex> lock(rampMutex_);
+    const auto it = ramps_.find(key.bits());
+    if (it == ramps_.end())
+        return std::nullopt;
+    return it->second;
+}
+
+void
+EnvTrace::recordRamp(const RampKey &key, const Ramp &ramp) const
+{
+    std::lock_guard<std::mutex> lock(rampMutex_);
+    ramps_.emplace(key.bits(), ramp); // equal keys give equal ramps
 }
 
 TraceSupply::TraceSupply(Config cfg,
@@ -269,14 +307,65 @@ TraceSupply::offTimeAfterDeath(TimeNs deathTime)
             off += skip;
             continue;
         }
-        const double dt = nsToSec(cfg_.integrationStep);
-        cap_.charge(trace_->power(t, cfg_.wrap) * dt);
-        cap_.discharge(cfg_.leakage * dt);
-        off += cfg_.integrationStep;
+        off += stepSegment(seg, t, off);
     }
     stats_.distribution("offTimeUs").sample(
         static_cast<double>(nsToUs(off)));
     return off;
+}
+
+TimeNs
+TraceSupply::stepSegment(const EnvTrace::SegmentView &seg, TimeNs t,
+                         TimeNs off)
+{
+    const TimeNs step = cfg_.integrationStep;
+    const std::vector<EnvTrace::Sample> &samples = trace_->samples();
+    const EnvTrace::Sample &lo = samples[seg.index];
+    // Past the end of a clamped trace there is no next sample: power
+    // holds at the last one's and the segment never ends.
+    const bool tail = seg.index + 1 == samples.size();
+    const EnvTrace::Sample &hi = tail ? lo : samples[seg.index + 1];
+    const TimeNs end = tail ? std::numeric_limits<TimeNs>::max()
+                            : seg.start + (hi.time - lo.time);
+
+    const EnvTrace::RampKey key{seg.index, cfg_.capacitance, cfg_.vMax,
+                                cfg_.vOn,  cfg_.leakage,     step};
+    const bool fromEmpty = seg.maxPower > cfg_.leakage &&
+                           t == seg.start &&
+                           std::bit_cast<std::uint64_t>(
+                               cap_.voltage()) == 0;
+    if (fromEmpty) {
+        const std::optional<EnvTrace::Ramp> ramp = trace_->findRamp(key);
+        // Replay only if offTimeAfterDeath()'s give-up check could not
+        // have fired before the ramp's last step.
+        if (ramp && off + (ramp->duration - step) < cfg_.maxOffTime) {
+            cap_.setVoltage(ramp->voltage);
+            return ramp->duration;
+        }
+    }
+
+    const double dt = nsToSec(step);
+    TimeNs stepped = 0;
+    while (cap_.voltage() < cfg_.vOn && t + stepped < end &&
+           off + stepped < cfg_.maxOffTime) {
+        Watts p = lo.power;
+        if (!tail) {
+            // EnvTrace::power()'s expression, term for term.
+            const double w =
+                static_cast<double>(t + stepped - seg.start) /
+                static_cast<double>(hi.time - lo.time);
+            p = lo.power + (hi.power - lo.power) * w;
+        }
+        cap_.charge(p * dt);
+        cap_.discharge(cfg_.leakage * dt);
+        stepped += step;
+    }
+    // Not a ramp cut short by maxOffTime, and a voltage that
+    // setVoltage() (which clamps at vMax) reproduces bit for bit.
+    const bool cut = cap_.voltage() < cfg_.vOn && t + stepped < end;
+    if (fromEmpty && !cut && cap_.voltage() <= cfg_.vMax)
+        trace_->recordRamp(key, {stepped, cap_.voltage()});
+    return stepped;
 }
 
 void

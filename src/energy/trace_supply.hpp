@@ -12,18 +12,37 @@
  * mutable state is the capacitor voltage. saveState()/loadState()
  * serialize exactly that, which is what makes snapshot/restore replay
  * (the ticsmc journal contract) byte-identical: any mid-trace boot
- * seeks back to the same sample segment by binary search.
+ * finds its sample segment again by binary search.
  *
- * Long zero-harvest gaps (a solar night) are fast-forwarded one trace
- * segment at a time instead of 50 us integration steps — the voltage
- * cannot cross Von while harvest power stays at or below leakage, so
- * skipping a whole dark segment is exact, not an approximation.
+ * The off-time path walks the trace one segment at a time: one binary
+ * search per segment, then 50 us integration steps that interpolate
+ * inside it with EnvTrace::power()'s exact expression, so every step
+ * charges the same joules as a per-step lookup would. Long zero-harvest
+ * gaps (a solar night) are fast-forwarded a whole segment at a time —
+ * the voltage cannot cross Von while harvest power stays at or below
+ * leakage, so skipping a dark segment is exact, not an approximation.
+ *
+ * A long enough skip drains a leaky capacitor to exactly +0.0 V
+ * (sqrt(+0) and x - x are the only zeros it produces), so every device
+ * that waited out the same night steps the next lit segment from the
+ * same state: bitwise +0.0 at its first sample. That ramp reads
+ * nothing but the segment's two samples and the capacitor config, so
+ * the EnvTrace memoises it: (segment, capacitance, vMax, vOn, leakage,
+ * step) -> (duration, end voltage), recorded only for a ramp that
+ * reached Von or the segment end, and replayed only when maxOffTime
+ * could not have cut it short. Replaying one is bit-exact with
+ * stepping it.
  */
 
 #ifndef TICSIM_ENERGY_TRACE_SUPPLY_HPP
 #define TICSIM_ENERGY_TRACE_SUPPLY_HPP
 
+#include <array>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,8 +69,9 @@ class EnvTrace
     /**
      * Parse "time_s,power_w" CSV text ('#' comments, blank lines
      * skipped). @return nullptr with a message in @p err unless the
-     * trace has >= 2 samples, starts at t=0, is strictly ascending
-     * and all powers are finite and non-negative.
+     * trace has >= 2 samples, starts at t=0, is strictly ascending,
+     * every time is below 2^62 ns and all powers are finite and
+     * non-negative.
      */
     static std::shared_ptr<const EnvTrace>
     parse(const std::string &text, const std::string &origin,
@@ -94,13 +114,46 @@ class EnvTrace
         TimeNs end = 0;    ///< absolute, > t
         Watts maxPower = 0.0;
         Watts powerAtEnd = 0.0;
+        /** The segment's first sample, samples()[index] (the last
+         *  sample on a clamped tail), and its absolute time <= t. */
+        std::size_t index = 0;
+        TimeNs start = 0;
     };
     SegmentView segmentAt(TimeNs t, bool wrap, TimeNs horizon) const;
 
   private:
+    friend class TraceSupply; // the ramp memo's only user
+
+    /** An empty-capacitor ramp through one segment: what stepping it
+     *  from +0.0 V at its first sample does, for one capacitor
+     *  config (see the file comment). */
+    struct RampKey {
+        std::size_t segment = 0;
+        Farads capacitance = 0.0;
+        Volts vMax = 0.0;
+        Volts vOn = 0.0;
+        Watts leakage = 0.0;
+        TimeNs step = 0;
+
+        std::array<std::uint64_t, 6> bits() const;
+    };
+    struct Ramp {
+        TimeNs duration = 0; ///< a whole number of steps
+        Volts voltage = 0.0;
+    };
+
     explicit EnvTrace(std::vector<Sample> samples);
 
+    std::optional<Ramp> findRamp(const RampKey &key) const;
+    void recordRamp(const RampKey &key, const Ramp &ramp) const;
+
     std::vector<Sample> samples_;
+
+    /** A cache of a pure function of the trace, not supply state:
+     *  shared by every supply (and JobPool thread) replaying this
+     *  trace. Keyed by the bit patterns of RampKey's fields. */
+    mutable std::mutex rampMutex_;
+    mutable std::map<std::array<std::uint64_t, 6>, Ramp> ramps_;
 };
 
 /**
@@ -167,6 +220,13 @@ class TraceSupply : public Supply
     static void setTraceDir(const std::string &dir);
 
   private:
+    /** Step from absolute time @p t, @p off into the outage, through
+     *  @p seg until Von, the segment's end or maxOffTime, replaying
+     *  the trace's memoised ramp instead where one applies.
+     *  @return the off time stepped. */
+    TimeNs stepSegment(const EnvTrace::SegmentView &seg, TimeNs t,
+                       TimeNs off);
+
     Config cfg_;
     std::shared_ptr<const EnvTrace> trace_;
     Capacitor cap_;

@@ -94,6 +94,17 @@ TEST(Harvester, RfFadingVariesPerBlockDeterministically)
     EXPECT_EQ(a, rf.power(2 * kNsPerMs));  // same block identical
     EXPECT_GT(a, base * 0.05);
     EXPECT_LT(a, base * 20.0);
+    // Moving or re-seeding mid-block: the block already faded reads
+    // as on a freshly built harvester, not as before.
+    rf.setDistance(2.5);
+    RfHarvester moved(3.0, 2.5);
+    moved.setFading(3.0, 10 * kNsPerMs, 77);
+    EXPECT_EQ(rf.power(3 * kNsPerMs), moved.power(3 * kNsPerMs));
+    rf.setFading(3.0, 10 * kNsPerMs, 78);
+    RfHarvester reseeded(3.0, 2.5);
+    reseeded.setFading(3.0, 10 * kNsPerMs, 78);
+    EXPECT_EQ(rf.power(4 * kNsPerMs), reseeded.power(4 * kNsPerMs));
+    EXPECT_NE(rf.power(4 * kNsPerMs), moved.power(4 * kNsPerMs));
 }
 
 TEST(Harvester, TraceHoldsAndRepeats)

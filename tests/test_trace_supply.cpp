@@ -4,15 +4,19 @@
  * interpolation (exact at sample boundaries), wrap vs clamp semantics
  * past the end of a trace shorter than the run, dark gaps spanning
  * multiple boot attempts, byte-identical replay after snapshot/restore
- * (the ticsmc journal contract), and the per-seed start offsets.
+ * (the ticsmc journal contract), the per-seed start offsets, and the
+ * segment walk and its empty-capacitor ramp memo against the per-step
+ * loop they replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "energy/capacitor.hpp"
 #include "energy/trace_supply.hpp"
 #include "support/statebuf.hpp"
 #include "support/units.hpp"
@@ -69,6 +73,12 @@ TEST(EnvTrace, RejectsMalformedInput)
               nullptr)
         << "the separator is a comma";
     EXPECT_FALSE(err.empty());
+    // 2e10 s is 2e19 ns: past what TimeNs holds, rejected before the
+    // conversion (which would be undefined) rather than by whatever
+    // value it happened to produce.
+    EXPECT_EQ(EnvTrace::parse("0,0.01\n2e10,0.02\n", "<t>", err),
+              nullptr);
+    EXPECT_NE(err.find("2^62 ns"), std::string::npos) << err;
 }
 
 // ---- interpolation -----------------------------------------------------
@@ -237,6 +247,266 @@ TEST(TraceSupply, CommittedTracesLoadAndValidate)
     std::string err;
     EXPECT_EQ(EnvTrace::forEnv("no_such_env", err), nullptr);
     EXPECT_FALSE(err.empty());
+}
+
+// ---- segment walk and ramp memo vs the per-step loop --------------------
+
+struct OffTime {
+    TimeNs off = 0;
+    Volts v = 0.0;
+};
+
+/**
+ * Reference off-time loop on the public API: a segmentAt() and a
+ * power() lookup every 50 us step, with the same dark-segment skip.
+ * TraceSupply's segment walk and ramp memo must match it bit for bit.
+ */
+OffTime
+referenceOffTime(const TraceSupply::Config &cfg, const EnvTrace &trace,
+                 Volts v0, TimeNs deathTime)
+{
+    energy::Capacitor cap(cfg.capacitance, cfg.vMax, cfg.vOn,
+                          cfg.leakage);
+    cap.setVoltage(v0);
+    TimeNs off = 0;
+    while (cap.voltage() < cfg.vOn) {
+        if (off >= cfg.maxOffTime)
+            return {cfg.maxOffTime, cap.voltage()};
+        const TimeNs t = cfg.startOffset + deathTime + off;
+        const EnvTrace::SegmentView seg =
+            trace.segmentAt(t, cfg.wrap, cfg.maxOffTime - off);
+        if (seg.maxPower <= cfg.leakage &&
+            seg.end - t > cfg.integrationStep) {
+            const TimeNs skip = seg.end - t;
+            const double dt = nsToSec(skip);
+            cap.charge(0.5 * (trace.power(t, cfg.wrap) + seg.powerAtEnd) *
+                       dt);
+            cap.discharge(cfg.leakage * dt);
+            off += skip;
+            continue;
+        }
+        const double dt = nsToSec(cfg.integrationStep);
+        cap.charge(trace.power(t, cfg.wrap) * dt);
+        cap.discharge(cfg.leakage * dt);
+        off += cfg.integrationStep;
+    }
+    return {off, cap.voltage()};
+}
+
+/** offTimeAfterDeath() of a fresh supply on @p trace whose capacitor
+ *  sits at exactly @p v0 (loaded the way a snapshot restore does). */
+OffTime
+walkOffTime(const TraceSupply::Config &cfg,
+            const std::shared_ptr<const EnvTrace> &trace, Volts v0,
+            TimeNs deathTime)
+{
+    TraceSupply s(cfg, trace);
+    StateWriter w;
+    w.put(v0);
+    const StateBlob blob = w.take();
+    StateReader r(blob);
+    s.loadState(r);
+    const TimeNs off = s.offTimeAfterDeath(deathTime);
+    return {off, s.voltageNow()};
+}
+
+/** A private copy of a committed trace: its ramp memo starts empty. */
+std::shared_ptr<const EnvTrace>
+freshTrace(const std::string &name)
+{
+    std::string err;
+    auto t = EnvTrace::load(std::string(TICSIM_SOURCE_DIR) +
+                                "/docs/traces/" + name + ".csv",
+                            err);
+    EXPECT_NE(t, nullptr) << err;
+    return t;
+}
+
+/** One off-time query: trace position at virtual time 0, death time,
+ *  and the capacitor voltage at death (just below Voff, or empty). */
+struct Outage {
+    TimeNs startOffset = 0;
+    TimeNs death = 0;
+    Volts v0 = 0.0;
+};
+
+constexpr Volts kJustDead = 1.79;
+
+TEST(TraceWalk, MatchesPerStepReferenceOnCommittedAndSyntheticTraces)
+{
+    const auto s = [](double sec) {
+        return static_cast<TimeNs>(sec * 1000.0) * kNsPerMs;
+    };
+    struct Case {
+        std::shared_ptr<const EnvTrace> trace;
+        std::vector<Outage> outages;
+    };
+    // Deaths in dark segments (the skip drains a leaky capacitor to
+    // exactly 0 V before the next ramp), on a lit segment's first
+    // sample with an empty capacitor (the memoised ramp), mid-ramp and
+    // on plateaus, some through a nonzero startOffset. A position past
+    // the duration is the same sample again under wrap and the clamped
+    // tail otherwise.
+    const std::vector<Case> cases{
+        {freshTrace("solar_diurnal"),
+         {{0, s(3600), kJustDead},
+          {0, s(21600), 0.0},
+          {0, s(22500), kJustDead},
+          {0, s(43200), 0.0},
+          {s(30000), s(61000 - 30000), kJustDead},
+          {s(30000), s(86400 + 21600 - 30000), 0.0}}},
+        {freshTrace("rf_mobile"),
+         {{0, s(2), kJustDead},
+          {0, s(5), 0.0},
+          {0, s(5.5), kJustDead},
+          {0, s(5.5), 0.0}, // empty, but not on the first sample
+          {0, s(11.5), 0.0},
+          {0, s(20), kJustDead},
+          {0, s(33), 0.0},
+          {s(17), s(45 - 17), kJustDead},
+          {s(17), s(60 + 5 - 17), 0.0}}},
+        {freshTrace("thermal_gradient"),
+         {{0, 0, 0.0},
+          {0, s(150), kJustDead},
+          {0, s(300), 0.0},
+          {0, s(595), kJustDead},
+          {0, s(600), 0.0},
+          {s(250), s(600 + 10 - 250), 0.0}}},
+        // Dark, a 10 ms ramp too weak to reach Von (it ends at its
+        // segment end), then a faint slope that takes thousands of
+        // steps to climb, whose end power the clamped tail holds.
+        {mustParse("0,0\n10,0\n10.01,0.00005\n60,0.0001\n"),
+         {{0, s(1), kJustDead},
+          {0, s(10), 0.0},
+          {0, s(10.01), 0.0},
+          {0, s(15), kJustDead},
+          {0, s(60), 0.0},
+          {0, s(65), kJustDead}}},
+    };
+    int compared = 0;
+    for (const Case &c : cases) {
+        for (const Farads cap : {4.7e-6, 10e-6, 22e-6}) {
+            for (const Watts leak : {0.0, 1e-6}) {
+                for (const bool wrap : {true, false}) {
+                    TraceSupply::Config cfg;
+                    cfg.capacitance = cap;
+                    cfg.leakage = leak;
+                    cfg.wrap = wrap;
+                    for (const Outage &o : c.outages) {
+                        cfg.startOffset = o.startOffset;
+                        SCOPED_TRACE(testing::Message()
+                                     << "cap " << cap << " leak " << leak
+                                     << " wrap " << wrap << " offset "
+                                     << o.startOffset << " death "
+                                     << o.death << " v0 " << o.v0);
+                        const OffTime ref = referenceOffTime(
+                            cfg, *c.trace, o.v0, o.death);
+                        const OffTime got =
+                            walkOffTime(cfg, c.trace, o.v0, o.death);
+                        EXPECT_EQ(got.off, ref.off);
+                        EXPECT_EQ(got.v, ref.v);
+                        ++compared;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 12 * 27);
+}
+
+TEST(TraceWalk, RampMemoHonoursMaxOffTimeAndCapacitorConfig)
+{
+    // One private trace and its memo across a fixed sequence of
+    // supplies: a 40 s dark gap drains every leaky capacitor here to
+    // exactly 0 V before the first sample of a 30 s ramp segment.
+    const auto t = mustParse("0,0\n40,0\n70,0.002\n80,0.002\n");
+    const auto expectMatches = [&](const TraceSupply::Config &cfg,
+                                   Volts v0, TimeNs death) {
+        const OffTime ref = referenceOffTime(cfg, *t, v0, death);
+        const OffTime got = walkOffTime(cfg, t, v0, death);
+        EXPECT_EQ(got.off, ref.off);
+        EXPECT_EQ(got.v, ref.v);
+        return got;
+    };
+    TraceSupply::Config full;
+    TraceSupply::Config cut = full;
+    cut.maxOffTime = 40 * kNsPerSec + 300 * kNsPerMs; // inside the ramp
+
+    // Cut short on a cold memo: gives up at the cap.
+    EXPECT_EQ(expectMatches(cut, kJustDead, 0).off, cut.maxOffTime);
+    // The whole ramp: stepped, then replayed by a second supply.
+    const OffTime first = expectMatches(full, kJustDead, 0);
+    EXPECT_GT(first.off, cut.maxOffTime);
+    EXPECT_EQ(expectMatches(full, kJustDead, 0).off, first.off);
+    EXPECT_EQ(expectMatches(full, 0.0, 40 * kNsPerSec).off,
+              first.off - 40 * kNsPerSec);
+    // Cut short on the warm memo: the recorded ramp outlives the
+    // horizon, so it must not be replayed.
+    EXPECT_EQ(expectMatches(cut, kJustDead, 0).off, cut.maxOffTime);
+    // Other capacitors on the same trace have ramps of their own.
+    for (const Farads cap : {4.7e-6, 22e-6}) {
+        TraceSupply::Config other = full;
+        other.capacitance = cap;
+        EXPECT_NE(expectMatches(other, kJustDead, 0).off, first.off);
+        expectMatches(other, 0.0, 40 * kNsPerSec);
+    }
+    // With Von on the rail and no leakage, the ramp ends on the vMax
+    // clamp, where sqrt() lands an ulp above vMax for 22 uF at 3.6 V.
+    // setVoltage() would clamp that ulp away, so such a ramp is never
+    // replayed.
+    TraceSupply::Config rail = full;
+    rail.capacitance = 22e-6;
+    rail.vMax = 3.6;
+    rail.vOn = 3.6;
+    rail.leakage = 0.0;
+    for (int i = 0; i < 2; ++i)
+        EXPECT_GT(expectMatches(rail, 0.0, 40 * kNsPerSec).v, rail.vMax);
+}
+
+TEST(TraceWalkThreads, SharedMemoMatchesSerialReference)
+{
+    // forEnv() hands one trace to every JobPool thread; here four
+    // threads race to fill and read one cold memo.
+    const auto trace = freshTrace("rf_mobile");
+    std::vector<TraceSupply::Config> cfgs(2);
+    cfgs[0].capacitance = 4.7e-6;
+    cfgs[1].capacitance = 10e-6;
+    const std::vector<Outage> outages{{0, 45 * kNsPerSec, kJustDead},
+                                      {0, 5 * kNsPerSec, 0.0},
+                                      {0, 20 * kNsPerSec, kJustDead},
+                                      {0, 32 * kNsPerSec, 0.0}};
+    const std::size_t n = cfgs.size() * outages.size();
+    std::vector<OffTime> ref(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const Outage &o = outages[i % outages.size()];
+        ref[i] = referenceOffTime(cfgs[i / outages.size()], *trace, o.v0,
+                                  o.death);
+    }
+    constexpr int kThreads = 4;
+    constexpr int kRounds = 8;
+    std::vector<std::vector<OffTime>> got(kThreads);
+    std::vector<std::jthread> threads;
+    for (int k = 0; k < kThreads; ++k) {
+        threads.emplace_back([&, k] {
+            // Each thread starts at a different query.
+            for (std::size_t j = 0; j < kRounds * n; ++j) {
+                const std::size_t i = (j + k) % n;
+                const Outage &o = outages[i % outages.size()];
+                got[k].push_back(walkOffTime(cfgs[i / outages.size()],
+                                             trace, o.v0, o.death));
+            }
+        });
+    }
+    for (std::jthread &th : threads)
+        th.join();
+    for (int k = 0; k < kThreads; ++k) {
+        ASSERT_EQ(got[k].size(), kRounds * n);
+        for (std::size_t j = 0; j < got[k].size(); ++j) {
+            const OffTime &want = ref[(j + k) % n];
+            EXPECT_EQ(got[k][j].off, want.off) << k << "/" << j;
+            EXPECT_EQ(got[k][j].v, want.v) << k << "/" << j;
+        }
+    }
 }
 
 } // namespace
