@@ -12,6 +12,16 @@
  * channel shadows and commit timestamps, the simulated stack buffer)
  * legitimately differ between a failure-free and an intermittent run,
  * so the default filter compares application state only.
+ *
+ * Two ways to diff, one result. diff() compares two captured
+ * snapshots. A BoundReference (bind()) resolves the same region
+ * matching once against a live arena and then diffs that arena's
+ * bytes in place: the failure-space explorer judges every leaf of a
+ * pair against one reference, so it binds once per board and pays no
+ * capture, no name lookup and no allocation per leaf. Both paths run
+ * one compare kernel — memcmp per region, and the byte walk that
+ * emits Divergences only where memcmp found a difference — so their
+ * reports are equal field by field.
  */
 
 #ifndef TICSIM_ANALYSIS_REPLAY_ORACLE_HPP
@@ -59,6 +69,35 @@ struct ReplayReport {
     }
 };
 
+/**
+ * A reference snapshot bound to one live arena (ReplayOracle::bind).
+ * diff() equals ReplayOracle::diff(reference, capture(ram, filter))
+ * for the arena's current contents. It holds pointers into both the
+ * reference and the arena, so both must outlive it; NvRam never moves
+ * its storage. The arena's region layout must not change after
+ * binding — regions are allocated when the runtime attaches — and
+ * diff() asserts that it has not.
+ */
+class BoundReference
+{
+  public:
+    ReplayReport diff() const;
+
+  private:
+    friend class ReplayOracle;
+
+    /** A reference region and the live bytes it was matched to. */
+    struct Match {
+        const RegionImage *ref = nullptr;
+        const std::uint8_t *live = nullptr;
+    };
+
+    const mem::NvRam *ram_ = nullptr;
+    std::size_t layoutRegions_ = 0;
+    std::vector<Match> matches_;
+    std::uint32_t mismatches_ = 0;
+};
+
 class ReplayOracle
 {
   public:
@@ -80,6 +119,12 @@ class ReplayOracle
     /** Byte-diff @p subject against @p reference (region by name). */
     static ReplayReport diff(const ArenaSnapshot &reference,
                              const ArenaSnapshot &subject);
+
+    /** Match @p reference to the regions of @p ram that @p filter
+     *  selects, exactly as diff() would match a capture of them. */
+    static BoundReference bind(const ArenaSnapshot &reference,
+                               const mem::NvRam &ram,
+                               const RegionFilter &filter);
 };
 
 } // namespace ticsim::analysis

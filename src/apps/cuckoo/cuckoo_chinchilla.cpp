@@ -64,9 +64,10 @@ CuckooChinchillaApp::main()
 bool
 CuckooChinchillaApp::verify() const
 {
-    const auto e = cuckooGolden(params_);
-    return done() && inserted() == e.inserted &&
-           recovered() == e.recovered;
+    if (!golden_)
+        golden_ = cuckooGolden(params_);
+    return done() && inserted() == golden_->inserted &&
+           recovered() == golden_->recovered;
 }
 
 } // namespace ticsim::apps

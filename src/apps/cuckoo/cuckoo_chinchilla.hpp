@@ -9,6 +9,8 @@
 #ifndef TICSIM_APPS_CUCKOO_CUCKOO_CHINCHILLA_HPP
 #define TICSIM_APPS_CUCKOO_CUCKOO_CHINCHILLA_HPP
 
+#include <optional>
+
 #include "apps/common/cuckoo_core.hpp"
 #include "mem/nv.hpp"
 #include "runtimes/chinchilla.hpp"
@@ -35,6 +37,8 @@ class CuckooChinchillaApp
     board::Board &b_;
     runtimes::ChinchillaRuntime &rt_;
     CuckooParams params_;
+    /** cuckooGolden(params_), computed by the first verify(). */
+    mutable std::optional<CuckooExpected> golden_;
     mem::nvArray<std::uint16_t, kMaxSlots> table_;
     mem::nvArray<std::uint32_t, kMaxKeys> keys_; ///< promoted local buffer
     mem::nv<std::uint32_t> i_;                   ///< promoted loop index

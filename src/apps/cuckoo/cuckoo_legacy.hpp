@@ -15,6 +15,8 @@
 #ifndef TICSIM_APPS_CUCKOO_CUCKOO_LEGACY_HPP
 #define TICSIM_APPS_CUCKOO_CUCKOO_LEGACY_HPP
 
+#include <optional>
+
 #include "apps/common/cuckoo_core.hpp"
 #include "board/board.hpp"
 #include "board/runtime.hpp"
@@ -43,6 +45,9 @@ class CuckooLegacyApp
     board::Board &b_;
     board::Runtime &rt_;
     CuckooParams params_;
+    /** cuckooGolden(params_), computed by the first verify(): the
+     *  explorer verifies at every leaf. */
+    mutable std::optional<CuckooExpected> golden_;
     /** Fingerprint table: a flat FRAM array manipulated by pointer. */
     mem::nvArray<std::uint16_t, kMaxSlots> table_;
     mem::nv<std::uint32_t> inserted_;

@@ -81,9 +81,10 @@ CuckooTaskApp::CuckooTaskApp(board::Board &b, taskrt::TaskRuntime &rt,
 bool
 CuckooTaskApp::verify() const
 {
-    const auto e = cuckooGolden(params_);
-    return done() && inserted() == e.inserted &&
-           recovered() == e.recovered;
+    if (!golden_)
+        golden_ = cuckooGolden(params_);
+    return done() && inserted() == golden_->inserted &&
+           recovered() == golden_->recovered;
 }
 
 } // namespace ticsim::apps

@@ -13,6 +13,7 @@
 #define TICSIM_APPS_CUCKOO_CUCKOO_TASK_HPP
 
 #include <array>
+#include <optional>
 
 #include "apps/common/cuckoo_core.hpp"
 #include "runtimes/task_core.hpp"
@@ -40,6 +41,8 @@ class CuckooTaskApp
     board::Board &b_;
     taskrt::TaskRuntime &rt_;
     CuckooParams params_;
+    /** cuckooGolden(params_), computed by the first verify(). */
+    mutable std::optional<CuckooExpected> golden_;
 
     taskrt::Channel<TableArray> table_;
     taskrt::Channel<KeyArray> keys_;

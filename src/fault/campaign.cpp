@@ -318,22 +318,29 @@ runPairWithPlan(const CampaignConfig &cfg, const PairSpec &spec,
 }
 
 Classification
-classifyOutcome(const PairRunOutcome &ref, const PairRunOutcome &sub)
+classify(const analysis::ReplayReport &diff, const board::RunResult &res,
+         bool verified)
 {
     Classification c;
-    const auto diff = analysis::ReplayOracle::diff(ref.snap, sub.snap);
     c.divergentBytes = diff.divergentBytes;
     if (diff.regionMismatches > 0)
         c.kind = "layout";
-    else if (sub.res.starved)
+    else if (res.starved)
         c.kind = "starved";
-    else if (!sub.res.completed)
+    else if (!res.completed)
         c.kind = "not-completed";
-    else if (!sub.verified)
+    else if (!verified)
         c.kind = "verify-failed";
     else if (diff.divergentBytes > 0)
         c.kind = "diverged";
     return c;
+}
+
+Classification
+classifyOutcome(const PairRunOutcome &ref, const PairRunOutcome &sub)
+{
+    return classify(analysis::ReplayOracle::diff(ref.snap, sub.snap),
+                    sub.res, sub.verified);
 }
 
 FaultPlan

@@ -128,6 +128,14 @@ struct Classification {
     std::uint64_t divergentBytes = 0;
 };
 
+/** The verdict for a subject run that ended as @p res, whose verify()
+ *  returned @p verified and whose final NV state diffed as @p diff.
+ *  Campaign subjects, confirmation replays, explorer leaves and fork
+ *  shrinker probes all classify through this one function. */
+Classification classify(const analysis::ReplayReport &diff,
+                        const board::RunResult &res, bool verified);
+
+/** classify() of @p sub's snapshot diffed against @p ref's. */
 Classification classifyOutcome(const PairRunOutcome &ref,
                                const PairRunOutcome &sub);
 

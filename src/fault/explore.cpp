@@ -232,16 +232,25 @@ struct ShardStats {
     std::vector<PendingViolation> viols;
 };
 
-PairRunOutcome
-leafOutcome(board::Board &board, const PairEnv &env,
-            const board::RunResult &res)
+/**
+ * Bind the pair's reference to @p board's arena. Call after
+ * beginRun(): runtimes allocate their regions when they attach.
+ */
+analysis::BoundReference
+bindReference(const PairRunOutcome &ref, board::Board &board)
 {
-    PairRunOutcome out;
-    out.res = res;
-    out.verified = env.verify();
-    out.snap = analysis::ReplayOracle::capture(
-        board.nvram(), analysis::ReplayOracle::appStateFilter());
-    return out;
+    return analysis::ReplayOracle::bind(
+        ref.snap, board.nvram(), analysis::ReplayOracle::appStateFilter());
+}
+
+/** A leaf's verdict: the app's verify(), then the live arena diffed in
+ *  place against the bound reference. */
+Classification
+judgeLeaf(const analysis::BoundReference &oracle, const PairEnv &env,
+          const board::RunResult &res)
+{
+    const bool verified = env.verify();
+    return classify(oracle.diff(), res, verified);
 }
 
 /**
@@ -283,14 +292,15 @@ class ShardWalker
         mem::ScopedWriteJournal sj(&journal);
 
         board.beginRun(*env.runtime, env.entry, cfg_.base.budget);
+        const analysis::BoundReference oracle = bindReference(ref_, board);
+        oracle_ = &oracle;
         Frame top;
         sink.beginRecording(&top);
         const board::RunResult cleanRes = board.continueRun();
         sink.stopRecording();
 
         // The fault-free recording pass must be the reference run.
-        const PairRunOutcome clean = leafOutcome(board, env, cleanRes);
-        if (!classifyOutcome(ref_, clean).kind.empty()) {
+        if (!judgeLeaf(oracle, env, cleanRes).kind.empty()) {
             st_.recordingConsistent = false;
             return st_;
         }
@@ -361,8 +371,7 @@ class ShardWalker
     classifyLeaf(const board::RunResult &res)
     {
         ++st_.statesExplored;
-        const PairRunOutcome sub = leafOutcome(*board_, *env_, res);
-        const Classification c = classifyOutcome(ref_, sub);
+        const Classification c = judgeLeaf(*oracle_, *env_, res);
         if (c.kind.empty())
             return;
         PendingViolation pv;
@@ -384,6 +393,7 @@ class ShardWalker
     FaultedSupply *sup_ = nullptr;
     ExploreSink *sink_ = nullptr;
     PairEnv *env_ = nullptr;
+    const analysis::BoundReference *oracle_ = nullptr;
     std::vector<BranchAtom> path_;
     ShardStats st_;
 };
@@ -727,6 +737,7 @@ forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
     mem::WriteJournal journal;
     mem::ScopedWriteJournal sj(&journal);
     board.beginRun(*env.runtime, env.entry, cfg.budget);
+    const analysis::BoundReference oracle = bindReference(ref, board);
     board.continueRun();
     rec.disarm();
 
@@ -757,8 +768,7 @@ forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
         mem::ScopedAccessSink evalSink(&inj);
         mem::ScopedStoreGate evalGate(&inj);
         const board::RunResult res = board.continueRun();
-        const PairRunOutcome sub = leafOutcome(board, env, res);
-        probe.cls = classifyOutcome(ref, sub);
+        probe.cls = judgeLeaf(oracle, env, res);
         probe.firedCuts = sup->firedAt(); // restore rolled these back
         probe.cycles = res.cycles - before;
         return probe;

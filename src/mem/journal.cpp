@@ -7,7 +7,7 @@
 namespace ticsim::mem {
 
 namespace detail {
-thread_local WriteJournal *g_journal = nullptr;
+constinit thread_local WriteJournal *g_journal = nullptr;
 } // namespace detail
 
 WriteJournal *
@@ -27,8 +27,8 @@ WriteJournal::note(const void *dst, std::size_t bytes)
     r.dst = reinterpret_cast<std::uintptr_t>(dst);
     r.poolOff = pool_.size();
     r.bytes = static_cast<std::uint32_t>(bytes);
-    pool_.resize(r.poolOff + bytes);
-    std::memcpy(pool_.data() + r.poolOff, dst, bytes);
+    const auto *src = static_cast<const std::uint8_t *>(dst);
+    pool_.insert(pool_.end(), src, src + bytes);
     recs_.push_back(r);
 }
 

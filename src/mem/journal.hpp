@@ -77,7 +77,7 @@ class WriteJournal
 namespace detail {
 /** Thread-local like the trace sink: one journal per simulated Board,
  *  and sweep workers on other threads never see it. */
-extern thread_local WriteJournal *g_journal;
+extern constinit thread_local WriteJournal *g_journal;
 } // namespace detail
 
 /** Install @p j as the calling thread's journal; returns the previous

@@ -3,7 +3,7 @@
 namespace ticsim::mem {
 
 namespace detail {
-thread_local StoreGate *g_gate = nullptr;
+constinit thread_local StoreGate *g_gate = nullptr;
 } // namespace detail
 
 StoreGate *

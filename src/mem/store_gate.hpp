@@ -57,7 +57,7 @@ class StoreGate
 namespace detail {
 /** Thread-local for the same reason as mem::detail::g_sink: concurrent
  *  sweep Boards each install their own injector without cross-talk. */
-extern thread_local StoreGate *g_gate;
+extern constinit thread_local StoreGate *g_gate;
 } // namespace detail
 
 /** Install @p g as the calling thread's store gate; returns the

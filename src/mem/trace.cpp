@@ -3,7 +3,7 @@
 namespace ticsim::mem {
 
 namespace detail {
-thread_local AccessSink *g_sink = nullptr;
+constinit thread_local AccessSink *g_sink = nullptr;
 } // namespace detail
 
 AccessSink *

@@ -109,8 +109,14 @@ namespace detail {
  * Boards on concurrent threads — each with its own tracer — so the
  * sink must never leak between them. Serial code is unaffected (one
  * thread, one slot, same semantics as the old process global).
+ *
+ * constinit, like g_gate, g_journal and perf::detail::g_hot: a
+ * constant-initialized thread_local needs no TLS-init guard, so each
+ * access is a plain TLS load. Without it, GCC 12 PIE builds test the
+ * weak init symbol and then form the address with an lea, which sets
+ * no flags, and UBSan's null check branches on that stale test.
  */
-extern thread_local AccessSink *g_sink;
+extern constinit thread_local AccessSink *g_sink;
 } // namespace detail
 
 /** Install @p s as the calling thread's trace sink; returns the

@@ -105,7 +105,7 @@ const CounterField *counterFields(int &countOut);
 
 namespace detail {
 /** The calling thread's block, or nullptr before first use. */
-extern thread_local HotCounters *g_hot;
+extern constinit thread_local HotCounters *g_hot;
 /** Slow path: allocate + register this thread's perf state. */
 HotCounters &registerThreadCounters();
 } // namespace detail

@@ -140,7 +140,7 @@ constexpr CounterField kCounterFields[] = {
 
 namespace detail {
 
-thread_local HotCounters *g_hot = nullptr;
+constinit thread_local HotCounters *g_hot = nullptr;
 
 HotCounters &
 registerThreadCounters()

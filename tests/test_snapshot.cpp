@@ -6,7 +6,9 @@
  * isolation under concurrent exploration, the exhaustive explorer's
  * protection-split and shard-count invariance, and ddmin-via-fork
  * parity (same minimal plans as the from-boot shrinker, fewer
- * simulated cycles).
+ * simulated cycles), and the explorer's bound replay reference against
+ * capture-and-diff on real arenas — after from-boot fault plans and
+ * after restores on one board.
  */
 
 #include <cstring>
@@ -23,6 +25,8 @@
 #include "mem/journal.hpp"
 #include "mem/store_gate.hpp"
 #include "mem/trace.hpp"
+#include "replay_reference.hpp"
+#include "support/rng.hpp"
 #include "timekeeper/timekeeper.hpp"
 
 using namespace ticsim;
@@ -150,6 +154,71 @@ class SnapAtEvent : public mem::AccessSink, public mem::StoreGate
     bool started_ = false;
     bool captured_ = false;
     board::Snapshot snap_;
+};
+
+/**
+ * What the explorer checks at a leaf, both ways: @p bound (bound to
+ * @p board before the run) must report what capture-and-diff reports
+ * for the arena as it is now, and that must be the original
+ * algorithm's report. Returns the report.
+ */
+analysis::ReplayReport
+expectBoundMatchesCapture(const analysis::BoundReference &bound,
+                          const analysis::ArenaSnapshot &ref,
+                          board::Board &board, const std::string &what)
+{
+    const analysis::ArenaSnapshot sub = analysis::ReplayOracle::capture(
+        board.nvram(), analysis::ReplayOracle::appStateFilter());
+    const analysis::ReplayReport want =
+        analysis::ReplayOracle::diff(ref, sub);
+    testref::expectSameReport(testref::referenceDiff(ref, sub), want,
+                              what + ": diff");
+    testref::expectSameReport(want, bound.diff(), what + ": bound");
+    return want;
+}
+
+/**
+ * Recording sink for the restore test: a light snapshot at every
+ * in-run gated store and commit while armed — the explorer's decision
+ * points — and otherwise a plain journaled store.
+ */
+class SnapEveryEvent : public mem::AccessSink, public mem::StoreGate
+{
+  public:
+    explicit SnapEveryEvent(board::Board &board) : board_(board) {}
+
+    void disarm() { armed_ = false; }
+    const std::vector<board::Snapshot> &snaps() const { return snaps_; }
+
+    void memRead(const void *, std::uint32_t) override {}
+    void memWrite(const void *, std::uint32_t) override {}
+    void memVersioned(const void *, std::uint32_t) override {}
+    void powerOn() override { started_ = true; }
+    void commit() override { hit(); }
+
+    void
+    store(mem::StoreSite, void *dst, const void *src,
+          std::uint32_t bytes) override
+    {
+        hit();
+        mem::journalNote(dst, bytes);
+        std::memcpy(dst, src, bytes);
+    }
+
+  private:
+    void
+    hit()
+    {
+        if (!armed_ || !started_)
+            return;
+        snaps_.emplace_back();
+        board_.snapshot(snaps_.back(), /*withFiber=*/false);
+    }
+
+    board::Board &board_;
+    bool armed_ = true;
+    bool started_ = false;
+    std::vector<board::Snapshot> snaps_;
 };
 
 } // namespace
@@ -415,4 +484,141 @@ TEST(ForkShrink, CampaignForkShrinkMatchesFromBootCampaign)
             EXPECT_EQ(a.pairs[i].found[j].plan,
                       b.pairs[i].found[j].plan);
     }
+}
+
+// ---- the bound replay reference on real arenas -----------------------------
+
+TEST(BoundReference, MatchesCaptureAfterFaultPlansOnEveryPair)
+{
+    // Every pair at the sizes ticsmc and hostbench explore, run from
+    // boot under seeded plans: a cut at the first, two random and the
+    // last occurrence of every boundary kind, and every tear mode at
+    // three random occurrences of every store site.
+    const fault::CampaignConfig cfg = smallConfig();
+    const auto filter = analysis::ReplayOracle::appStateFilter();
+    Rng rng(cfg.seed);
+    std::uint64_t runs = 0, divergentRuns = 0;
+    for (const fault::PairSpec &spec : fault::campaignPairs(cfg)) {
+        const std::string pair = spec.app + "/" + spec.runtime;
+        const fault::PairRunOutcome ref =
+            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{}, true);
+        ASSERT_TRUE(ref.res.completed) << pair;
+
+        std::vector<fault::FaultPlan> plans;
+        const auto pick = [&](std::uint64_t count) {
+            return 1 + rng.below(count);
+        };
+        for (int b = 0; b < fault::kBoundaryCount; ++b) {
+            const std::uint64_t n = ref.census.boundary[b];
+            if (n == 0)
+                continue;
+            for (const std::uint64_t occ :
+                 {std::uint64_t{1}, pick(n), pick(n), n}) {
+                fault::FaultPlan p;
+                p.offNs = cfg.offNs;
+                fault::PowerCut c;
+                c.boundary = static_cast<fault::Boundary>(b);
+                c.occurrence = occ;
+                p.cuts.push_back(c);
+                plans.push_back(p);
+            }
+        }
+        for (int site = 0; site < mem::kStoreSiteCount; ++site) {
+            const std::uint64_t n = ref.census.stores[site];
+            if (n == 0)
+                continue;
+            for (int k = 0; k < 9; ++k) {
+                fault::FaultPlan p;
+                p.offNs = cfg.offNs;
+                fault::TornWrite t;
+                t.site = static_cast<mem::StoreSite>(site);
+                t.occurrence = pick(n);
+                t.mode = static_cast<fault::TearMode>(k % 3);
+                t.keepBytes = static_cast<std::uint32_t>(
+                    rng.below(ref.census.maxStoreBytes[site] + 1));
+                p.tears.push_back(t);
+                plans.push_back(p);
+            }
+        }
+
+        for (const fault::FaultPlan &plan : plans) {
+            board::BoardConfig bcfg;
+            bcfg.seed = cfg.seed;
+            auto supply = std::make_unique<fault::FaultedSupply>(
+                std::make_unique<energy::ContinuousSupply>(), plan.offNs);
+            fault::FaultedSupply *sup = supply.get();
+            board::Board board(
+                bcfg, std::move(supply),
+                std::make_unique<timekeeper::PerfectTimekeeper>());
+            fault::FaultInjector inj(board, *sup, plan, false);
+            mem::ScopedAccessSink as(&inj);
+            mem::ScopedStoreGate sg(&inj);
+            fault::PairEnv env = spec.make(board);
+            board.beginRun(*env.runtime, env.entry, cfg.budget);
+            const analysis::BoundReference bound =
+                analysis::ReplayOracle::bind(ref.snap, board.nvram(), filter);
+            board.continueRun();
+            const analysis::ReplayReport r = expectBoundMatchesCapture(
+                bound, ref.snap, board, pair + " " + plan.format());
+            ++runs;
+            if (r.divergentBytes > 0)
+                ++divergentRuns;
+        }
+    }
+    // The comparison must have been exercised on diverging arenas.
+    EXPECT_GT(runs, 150u);
+    EXPECT_GT(divergentRuns, 10u);
+}
+
+TEST(BoundReference, OneBindingSurvivesRestoresOnEveryPair)
+{
+    // As the explorer uses it: bound once per board, then restored to
+    // each recorded decision point newest-first, killed there, and
+    // compared after every continuation.
+    const fault::CampaignConfig cfg = smallConfig();
+    std::uint64_t leaves = 0, divergentLeaves = 0;
+    for (const fault::PairSpec &spec : fault::campaignPairs(cfg)) {
+        const std::string pair = spec.app + "/" + spec.runtime;
+        const fault::PairRunOutcome ref =
+            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{}, true);
+        ASSERT_TRUE(ref.res.completed) << pair;
+
+        board::BoardConfig bcfg;
+        bcfg.seed = cfg.seed;
+        auto supply = std::make_unique<fault::FaultedSupply>(
+            std::make_unique<energy::ContinuousSupply>(), cfg.offNs);
+        fault::FaultedSupply *sup = supply.get();
+        board::Board board(bcfg, std::move(supply),
+                           std::make_unique<timekeeper::PerfectTimekeeper>());
+        SnapEveryEvent sink(board);
+        mem::ScopedAccessSink as(&sink);
+        mem::ScopedStoreGate sg(&sink);
+        fault::PairEnv env = spec.make(board);
+        mem::WriteJournal journal;
+        mem::ScopedWriteJournal sj(&journal);
+        board.beginRun(*env.runtime, env.entry, cfg.budget);
+        const analysis::BoundReference bound = analysis::ReplayOracle::bind(
+            ref.snap, board.nvram(), analysis::ReplayOracle::appStateFilter());
+        board.continueRun();
+        sink.disarm();
+        EXPECT_TRUE(
+            expectBoundMatchesCapture(bound, ref.snap, board, pair + " clean")
+                .clean());
+        ASSERT_GT(sink.snaps().size(), 0u) << pair;
+
+        for (std::size_t i = sink.snaps().size(); i-- > 0;) {
+            board.restore(sink.snaps()[i]);
+            sup->noteForcedDeath();
+            board.markInjectedDeath();
+            board.continueRun();
+            const analysis::ReplayReport r = expectBoundMatchesCapture(
+                bound, ref.snap, board,
+                pair + " death at event " + std::to_string(i));
+            ++leaves;
+            if (r.divergentBytes > 0)
+                ++divergentLeaves;
+        }
+    }
+    EXPECT_GT(leaves, 200u);
+    EXPECT_GT(divergentLeaves, 10u);
 }
