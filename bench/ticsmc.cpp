@@ -25,10 +25,12 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/explore.hpp"
 #include "harness/report.hpp"
+#include "harness/scenario.hpp"
 
 using namespace ticsim;
 
@@ -45,20 +47,23 @@ usage(const char *argv0)
         "Exhaustively enumerates the failure space of (app, runtime)\n"
         "pairs by forking the simulator at every boundary event and\n"
         "gated NV store. --app/--runtime filter the 10-pair matrix\n"
-        "(exact names, e.g. --app BC --runtime plain-C); repeat the\n"
-        "flags to select several. --max-boundaries caps the decision\n"
-        "points explored per recording (0 = unbounded: proof of\n"
-        "exhaustion). --max-faults sets the schedule depth.\n",
+        "(names or aliases, e.g. --app CF --runtime plain-C); repeat\n"
+        "the flags to select several. --max-boundaries caps the\n"
+        "decision points explored per recording (0 = unbounded: proof\n"
+        "of exhaustion). --max-faults sets the schedule depth.\n",
         argv0);
 }
 
+/** An empty filter matches everything; names resolve through the
+ *  catalog's aliases (e.g. --app CF --runtime tics). */
 bool
-nameMatches(const std::vector<std::string> &wanted, const std::string &s)
+nameMatches(const std::vector<std::string> &wanted, const std::string &s,
+            bool (*same)(std::string_view, std::string_view))
 {
     if (wanted.empty())
         return true;
     for (const auto &w : wanted)
-        if (w == s)
+        if (same(w, s))
             return true;
     return false;
 }
@@ -125,7 +130,8 @@ main(int argc, char **argv)
 
     std::vector<fault::PairSpec> specs;
     for (fault::PairSpec &s : fault::campaignPairs(cfg.base)) {
-        if (nameMatches(apps, s.app) && nameMatches(runtimes, s.runtime))
+        if (nameMatches(apps, s.app, harness::sameApp) &&
+            nameMatches(runtimes, s.runtime, harness::sameRuntime))
             specs.push_back(std::move(s));
     }
     if (specs.empty()) {

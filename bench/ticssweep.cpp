@@ -11,24 +11,22 @@
  *
  * Modes:
  *   (default)    run the grid, print per-cell and aggregate tables
- *   --campaign   run the ticsfault adversarial campaign on the pool
- *   --crossval   run the ticsverify cross-validation on the pool
  *   --worker     serve the ticsfleet worker protocol on stdin/stdout
+ *
+ * The fault campaign and the cross-validation run on the same pool
+ * through their own CLIs: ticsfault --campaign --jobs N and
+ * ticsverify --crossval --jobs N.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
-#include "fault/campaign.hpp"
 #include "fleet/worker.hpp"
 #include "harness/report.hpp"
 #include "sweep/sweep.hpp"
-#include "verify/crossval.hpp"
-#include "verify/verifier.hpp"
 
 using namespace ticsim;
 
@@ -42,10 +40,7 @@ usage(const char *argv0)
         "          [--supplies L] [--caps-uf L] [--segments L]\n"
         "          [--envs L] [--seeds L] [--jobs N] [--no-cache]\n"
         "          [--cache-dir PATH] [--budget-s N] [--stable]\n"
-        "          [--json PATH] [--trace PATH]\n"
-        "       %s --campaign [--seed N] [--random N] [--jobs N]\n"
-        "          [--budget-s N] [--max-seconds S] [--patterns PATH]\n"
-        "       %s --crossval [--seed N] [--jobs N]\n"
+        "          [--seed N] [--json PATH] [--trace PATH]\n"
         "       %s --worker   (ticsfleet worker protocol on stdio)\n"
         "Runs the cross-product of experiment axes on a work-stealing\n"
         "pool with a content-addressed result cache. Axis lists (L)\n"
@@ -54,75 +49,9 @@ usage(const char *argv0)
         "uses every hardware thread. --stable zeroes the wall-clock\n"
         "and cache fields of the JSON report so repeated runs are\n"
         "byte-identical. --worker is ticsfleet's re-exec entry and\n"
-        "takes no other flags.\n",
-        argv0, argv0, argv0, argv0);
-}
-
-int
-campaignMain(harness::BenchSession &session,
-             const fault::CampaignConfig &cfg,
-             const std::string &patternsPath)
-{
-    session.setSeed(cfg.seed);
-    const fault::CampaignReport report = fault::runCampaign(cfg);
-    fault::campaignTable(report).print(std::cout);
-    fault::violationTable(report).print(std::cout);
-
-    for (const auto &p : report.pairs) {
-        for (const auto &v : p.found) {
-            harness::ReportFinding rf;
-            rf.analysis = "fault-campaign";
-            rf.app = v.app;
-            rf.runtime = v.runtime;
-            rf.subject = v.kind;
-            rf.bytes = v.divergentBytes;
-            rf.detail = v.plan;
-            session.addFinding(std::move(rf));
-        }
-    }
-    if (!patternsPath.empty()) {
-        std::ofstream os(patternsPath);
-        if (!os) {
-            std::fprintf(stderr, "ticssweep: cannot open '%s'\n",
-                         patternsPath.c_str());
-        } else {
-            for (const auto &p : report.pairs)
-                for (const auto &v : p.found)
-                    os << v.app << '/' << v.runtime << ':' << v.plan
-                       << '\n';
-        }
-    }
-    if (report.truncated)
-        std::printf("ticssweep: campaign truncated by --max-seconds; "
-                    "result is not seed-reproducible\n");
-    if (report.ok()) {
-        std::printf("ticssweep: campaign of %llu schedules, protection "
-                    "split holds\n",
-                    static_cast<unsigned long long>(
-                        report.totalSchedules));
-        return 0;
-    }
-    std::printf("ticssweep: UNEXPECTED campaign outcome\n");
-    return 1;
-}
-
-int
-crossvalMain(harness::BenchSession &session,
-             const verify::VerifyConfig &cfg)
-{
-    session.setSeed(cfg.seed);
-    const auto report = verify::crossValidate(cfg);
-    verify::crossValTable(report).print(std::cout);
-    std::printf("ticssweep: coverage %zu/%zu dynamic detections, "
-                "%zu/%zu static findings confirmed\n",
-                report.totalMatched, report.totalDynamic,
-                report.totalConfirmed, report.totalStatic);
-    if (!report.fullCoverage()) {
-        std::printf("UNEXPECTED: dynamic detections escaped the "
-                    "static analyses\n");
-        return 1;
-    }
-    return 0;
+        "takes no other flags. --seed replaces the seed axis when it\n"
+        "holds a single seed.\n",
+        argv0, argv0);
 }
 
 } // namespace
@@ -138,13 +67,7 @@ main(int argc, char **argv)
     // Strips --json/--trace before our own argument loop.
     harness::BenchSession session("ticssweep", argc, argv);
 
-    enum class Mode { Grid, Campaign, CrossVal };
-    Mode mode = Mode::Grid;
-
     sweep::SweepConfig cfg;
-    fault::CampaignConfig campaign;
-    verify::VerifyConfig crossval;
-    std::string patternsPath;
     bool stable = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -163,11 +86,7 @@ main(int argc, char **argv)
                 std::exit(2);
             }
         };
-        if (std::strcmp(arg, "--campaign") == 0) {
-            mode = Mode::Campaign;
-        } else if (std::strcmp(arg, "--crossval") == 0) {
-            mode = Mode::CrossVal;
-        } else if (std::strcmp(arg, "--spec") == 0) {
+        if (std::strcmp(arg, "--spec") == 0) {
             std::string err;
             if (!sweep::parseGridFile(next(), cfg.grid, err)) {
                 std::fprintf(stderr, "ticssweep: %s\n", err.c_str());
@@ -188,46 +107,26 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--seeds") == 0) {
             axis("seeds");
         } else if (std::strcmp(arg, "--jobs") == 0) {
-            const unsigned jobs =
-                static_cast<unsigned>(std::atoi(next()));
-            cfg.jobs = jobs;
-            campaign.jobs = jobs;
-            crossval.jobs = jobs;
+            cfg.jobs = static_cast<unsigned>(std::atoi(next()));
         } else if (std::strcmp(arg, "--no-cache") == 0) {
             cfg.useCache = false;
         } else if (std::strcmp(arg, "--cache-dir") == 0) {
             cfg.cacheDir = next();
         } else if (std::strcmp(arg, "--budget-s") == 0) {
-            const TimeNs b =
+            cfg.budget =
                 static_cast<TimeNs>(std::atoll(next())) * kNsPerSec;
-            cfg.budget = b;
-            campaign.budget = b;
         } else if (std::strcmp(arg, "--stable") == 0) {
             stable = true;
         } else if (std::strcmp(arg, "--seed") == 0) {
             const auto seed =
                 static_cast<std::uint64_t>(std::atoll(next()));
-            campaign.seed = seed;
-            crossval.seed = seed;
             if (cfg.grid.seeds.size() == 1)
                 cfg.grid.seeds[0] = seed;
-        } else if (std::strcmp(arg, "--random") == 0) {
-            campaign.randomSchedules =
-                static_cast<std::uint32_t>(std::atoi(next()));
-        } else if (std::strcmp(arg, "--max-seconds") == 0) {
-            campaign.maxSeconds = std::atof(next());
-        } else if (std::strcmp(arg, "--patterns") == 0) {
-            patternsPath = next();
         } else {
             usage(argv[0]);
             return 2;
         }
     }
-
-    if (mode == Mode::Campaign)
-        return campaignMain(session, campaign, patternsPath);
-    if (mode == Mode::CrossVal)
-        return crossvalMain(session, crossval);
 
     const sweep::SweepResult result = sweep::runSweep(cfg);
     sweep::sweepTable(result).print(std::cout);

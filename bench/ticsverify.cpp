@@ -44,6 +44,7 @@
 #include <string>
 
 #include "harness/report.hpp"
+#include "harness/scenario.hpp"
 #include "support/json.hpp"
 #include "verify/crossval.hpp"
 #include "verify/envmodel.hpp"
@@ -462,18 +463,20 @@ main(int argc, char **argv)
                 usage(argv[0]);
                 return 2;
             }
-            const std::string app = sizePair.substr(0, slash);
-            const std::string runtime = sizePair.substr(slash + 1);
-            const std::set<std::string> apps = {"AR", "BC", "CF"};
-            const std::set<std::string> runtimes = {
-                "TICS", "MementOS-like", "Chinchilla-like",
-                "Alpaca-like", "plain-C"};
-            if (!apps.count(app) || !runtimes.count(runtime)) {
+            // The sweep's pairs, under the aliases ticssweep accepts.
+            const char *appName =
+                harness::canonicalApp(sizePair.substr(0, slash));
+            const char *runtimeName =
+                harness::canonicalRuntime(sizePair.substr(slash + 1));
+            if (!appName || !runtimeName) {
                 std::fprintf(stderr,
                              "ticsverify: unknown pair '%s'\n",
                              sizePair.c_str());
                 return 2;
             }
+            const std::string app = appName;
+            const std::string runtime = runtimeName;
+            sizePair = app + "/" + runtime;
             const auto model =
                 verify::recoverSweepPair(probCfg, app, runtime);
             const auto sizing = verify::sizeCapacitor(

@@ -1,39 +1,19 @@
 #include "checker.hpp"
 
-#include <memory>
 #include <utility>
 
 #include "analysis/access_trace.hpp"
-#include "apps/bc/bc_chinchilla.hpp"
-#include "apps/bc/bc_task.hpp"
-#include "apps/cuckoo/cuckoo_chinchilla.hpp"
-#include "apps/cuckoo/cuckoo_legacy.hpp"
-#include "apps/cuckoo/cuckoo_task.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
-#include "runtimes/chinchilla.hpp"
-#include "runtimes/mementos.hpp"
-#include "runtimes/plainc.hpp"
-#include "tics/runtime.hpp"
+#include "harness/scenario.hpp"
 
 namespace ticsim::analysis {
 
 namespace {
 
-tics::TicsConfig
-ticsMatrixConfig()
-{
-    tics::TicsConfig c;
-    c.segmentBytes = 256;
-    c.policy = tics::PolicyKind::Timer;
-    c.timerPeriod = 5 * kNsPerMs;
-    return c;
-}
-
 /** Everything one traced-or-reference run produces. */
 struct RunOutcome {
     board::RunResult res;
-    std::string rtName;
     bool verified = false;
     ArenaSnapshot snap;
     WarReport war;
@@ -44,35 +24,28 @@ struct RunOutcome {
 
 /**
  * One fresh board + runtime + app, run to completion or budget. The
- * factories rebuild identical objects for the reference and subject
+ * catalog row rebuilds identical objects for the reference and subject
  * runs, so the two arenas have the same region layout and the replay
  * diff is byte-to-byte meaningful.
  */
-template <typename MakeRt, typename MakeApp>
 RunOutcome
-runOnce(const CheckConfig &cfg, const std::string &appName,
-        bool continuous, TimeNs budget, const MakeRt &makeRt,
-        const MakeApp &makeApp)
+runOnce(const CheckConfig &cfg, const harness::Scenario &s,
+        const harness::ScenarioParams &params, bool continuous,
+        TimeNs budget)
 {
     harness::SupplySpec spec =
         continuous ? harness::continuousSpec()
                    : harness::patternSpec(cfg.patternPeriod,
                                           cfg.patternOnFraction);
     auto board = harness::makeBoard(spec, cfg.seed);
-    auto rt = makeRt();
-    auto app = makeApp(*board, *rt);
-
-    std::function<void()> entry;
-    if constexpr (requires { app->main(); })
-        entry = [&app] { app->main(); };
+    harness::ScenarioInstance inst = s.build(*board, params);
 
     RunOutcome out;
-    out.rtName = rt->name();
     if (continuous) {
-        out.res = board->run(*rt, std::move(entry), budget);
+        out.res = board->run(*inst.runtime, std::move(inst.entry), budget);
     } else {
         AccessTracer tracer(*board);
-        out.res = board->run(*rt, std::move(entry), budget);
+        out.res = board->run(*inst.runtime, std::move(inst.entry), budget);
         tracer.finalize();
         out.war = WarHazardDetector(board->nvram())
                       .analyze(tracer.intervals());
@@ -80,31 +53,30 @@ runOnce(const CheckConfig &cfg, const std::string &appName,
         out.readBytes = tracer.readBytes();
         out.writeBytes = tracer.writeBytes();
     }
-    harness::recordRun(appName +
+    harness::recordRun(std::string(s.app) +
                            (continuous ? "/reference" : "/pattern"),
-                       *rt, *board, out.res);
-    out.verified = app->verify();
+                       *inst.runtime, *board, out.res);
+    out.verified = inst.verify();
     out.snap = ReplayOracle::capture(board->nvram(),
                                      ReplayOracle::appStateFilter());
     return out;
 }
 
-template <typename MakeRt, typename MakeApp>
 ScenarioFinding
-checkPair(const CheckConfig &cfg, const std::string &app,
-          bool isProtected, const MakeRt &makeRt, const MakeApp &makeApp)
+checkPair(const CheckConfig &cfg, const harness::Scenario &s,
+          const harness::ScenarioParams &params)
 {
     const TimeNs subjectBudget =
-        isProtected ? cfg.budget : cfg.unprotectedBudget;
-    RunOutcome ref = runOnce(cfg, app, /*continuous=*/true, cfg.budget,
-                             makeRt, makeApp);
-    RunOutcome sub = runOnce(cfg, app, /*continuous=*/false,
-                             subjectBudget, makeRt, makeApp);
+        s.isProtected ? cfg.budget : cfg.unprotectedBudget;
+    RunOutcome ref =
+        runOnce(cfg, s, params, /*continuous=*/true, cfg.budget);
+    RunOutcome sub =
+        runOnce(cfg, s, params, /*continuous=*/false, subjectBudget);
 
     ScenarioFinding f;
-    f.app = app;
-    f.runtime = sub.rtName;
-    f.isProtected = isProtected;
+    f.app = s.app;
+    f.runtime = s.runtime;
+    f.isProtected = s.isProtected;
     f.refCompleted = ref.res.completed;
     f.subject = sub.res;
     f.verified = sub.verified;
@@ -136,61 +108,16 @@ scenarioOk(const ScenarioFinding &f)
 std::vector<ScenarioFinding>
 checkMatrix(const CheckConfig &cfg)
 {
+    harness::ScenarioParams params;
+    params.bc = cfg.bc;
+    params.cuckoo = cfg.cuckoo;
+    params.tics = harness::matrixTics();
+
     std::vector<ScenarioFinding> out;
-
-    const auto bcLegacy = [&cfg](board::Board &b, auto &rt) {
-        return std::make_unique<apps::BcLegacyApp>(b, rt, cfg.bc);
-    };
-    const auto cuckooLegacy = [&cfg](board::Board &b, auto &rt) {
-        return std::make_unique<apps::CuckooLegacyApp>(b, rt,
-                                                       cfg.cuckoo);
-    };
-
-    const auto makeTics = [] {
-        return std::make_unique<tics::TicsRuntime>(ticsMatrixConfig());
-    };
-    const auto makeMementos = [] {
-        return std::make_unique<runtimes::MementosRuntime>();
-    };
-    const auto makePlain = [] {
-        return std::make_unique<runtimes::PlainCRuntime>();
-    };
-    const auto makeChinchilla = [] {
-        return std::make_unique<runtimes::ChinchillaRuntime>();
-    };
-    const auto makeTask = [] {
-        return std::make_unique<taskrt::TaskRuntime>();
-    };
-
-    out.push_back(checkPair(cfg, "BC", true, makeTics, bcLegacy));
-    out.push_back(checkPair(cfg, "BC", true, makeMementos, bcLegacy));
-    out.push_back(checkPair(
-        cfg, "BC", true, makeChinchilla, [&cfg](board::Board &b, auto &rt) {
-            return std::make_unique<apps::BcChinchillaApp>(b, rt, cfg.bc);
-        }));
-    out.push_back(checkPair(
-        cfg, "BC", true, makeTask, [&cfg](board::Board &b, auto &rt) {
-            return std::make_unique<apps::BcTaskApp>(b, rt, cfg.bc);
-        }));
-    out.push_back(checkPair(cfg, "BC", false, makePlain, bcLegacy));
-
-    out.push_back(checkPair(cfg, "Cuckoo", true, makeTics, cuckooLegacy));
-    out.push_back(
-        checkPair(cfg, "Cuckoo", true, makeMementos, cuckooLegacy));
-    out.push_back(checkPair(cfg, "Cuckoo", true, makeChinchilla,
-                            [&cfg](board::Board &b, auto &rt) {
-                                return std::make_unique<
-                                    apps::CuckooChinchillaApp>(
-                                    b, rt, cfg.cuckoo);
-                            }));
-    out.push_back(checkPair(cfg, "Cuckoo", true, makeTask,
-                            [&cfg](board::Board &b, auto &rt) {
-                                return std::make_unique<
-                                    apps::CuckooTaskApp>(b, rt,
-                                                         cfg.cuckoo);
-                            }));
-    out.push_back(checkPair(cfg, "Cuckoo", false, makePlain,
-                            cuckooLegacy));
+    for (const harness::Scenario &s : harness::scenarios()) {
+        if (harness::inConsistencyMatrix(s))
+            out.push_back(checkPair(cfg, s, params));
+    }
     return out;
 }
 

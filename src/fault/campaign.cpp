@@ -7,35 +7,14 @@
 #include <set>
 #include <utility>
 
-#include "apps/bc/bc_chinchilla.hpp"
-#include "apps/bc/bc_task.hpp"
-#include "apps/cuckoo/cuckoo_chinchilla.hpp"
-#include "apps/cuckoo/cuckoo_legacy.hpp"
-#include "apps/cuckoo/cuckoo_task.hpp"
 #include "fault/explore.hpp"
-#include "runtimes/chinchilla.hpp"
-#include "runtimes/mementos.hpp"
-#include "runtimes/plainc.hpp"
 #include "support/rng.hpp"
 #include "sweep/job_pool.hpp"
-#include "tics/runtime.hpp"
 #include "timekeeper/timekeeper.hpp"
 
 namespace ticsim::fault {
 
 namespace {
-
-tics::TicsConfig
-ticsCampaignConfig()
-{
-    // Same configuration ticscheck sweeps: short timer-policy epochs so
-    // a commit boundary exists every few milliseconds of virtual time.
-    tics::TicsConfig c;
-    c.segmentBytes = 256;
-    c.policy = tics::PolicyKind::Timer;
-    c.timerPeriod = 5 * kNsPerMs;
-    return c;
-}
 
 /** {first, middle, last} occurrences of a counted event, deduplicated. */
 std::vector<std::uint64_t>
@@ -141,15 +120,16 @@ systematicSchedules(const CampaignConfig &cfg, const PairSpec &spec,
     // into slot (occ-1)%2, so the slot left stale afterwards is occ%2.
     // Recovery must keep preferring the fresh slot whatever happens to
     // the stale header (generation bit, CRC bit) or stale image.
-    if (!spec.ckptPrefix.empty()) {
+    const std::string ckptPrefix = spec.scenario->ckptPrefix;
+    if (!ckptPrefix.empty()) {
         const std::uint64_t commits =
             census.boundary[static_cast<int>(Boundary::CommitEnd)];
         for (std::uint64_t occ : probePoints(commits)) {
             const int stale = static_cast<int>(occ % 2);
             const std::string hdr =
-                spec.ckptPrefix + ".hdr" + std::to_string(stale);
+                ckptPrefix + ".hdr" + std::to_string(stale);
             const std::string img =
-                spec.ckptPrefix + ".image" + std::to_string(stale);
+                ckptPrefix + ".image" + std::to_string(stale);
             const auto flipPlan = [&](const std::string &region,
                                       std::uint32_t offset,
                                       std::uint8_t mask) {
@@ -222,43 +202,6 @@ randomSchedules(const CampaignConfig &cfg, const EventCensus &census,
     return out;
 }
 
-template <typename MakeRt, typename MakeApp>
-PairSpec
-makePairSpec(std::string app, std::string runtime, bool isProtected,
-             std::string ckptPrefix, MakeRt makeRt, MakeApp makeApp)
-{
-    PairSpec s;
-    s.app = std::move(app);
-    s.runtime = std::move(runtime);
-    s.isProtected = isProtected;
-    s.ckptPrefix = std::move(ckptPrefix);
-    s.make = [makeRt, makeApp](board::Board &b) {
-        PairEnv env;
-        auto rt = makeRt();
-        auto appInst = makeApp(b, *rt);
-        // Task-model apps register their entry with the runtime; the
-        // others expose a legacy main(). The raw pointer captures stay
-        // valid for env's lifetime because env.app owns the object.
-        auto *ap = appInst.get();
-        if constexpr (requires { appInst->main(); })
-            env.entry = [ap] { ap->main(); };
-        env.verify = [ap] { return ap->verify(); };
-        env.app = std::shared_ptr<void>(std::move(appInst));
-        env.runtime = std::move(rt);
-        return env;
-    };
-    s.run = [make = s.make](board::Board &b, TimeNs budget) {
-        PairEnv env = make(b);
-        PairRunOutcome out;
-        out.res = b.run(*env.runtime, env.entry, budget);
-        out.verified = env.verify();
-        out.snap = analysis::ReplayOracle::capture(
-            b.nvram(), analysis::ReplayOracle::appStateFilter());
-        return out;
-    };
-    return s;
-}
-
 } // namespace
 
 PairRunOutcome
@@ -286,7 +229,15 @@ runPairWithPlan(const CampaignConfig &cfg, const PairSpec &spec,
     mem::ScopedAccessSink sink(&inj);
     mem::ScopedStoreGate gate(&inj);
 
-    PairRunOutcome out = spec.run(board, cfg.budget);
+    PairRunOutcome out;
+    {
+        // The pair is torn down while the injector is still installed.
+        harness::ScenarioInstance inst = spec.make(board);
+        out.res = board.run(*inst.runtime, inst.entry, cfg.budget);
+        out.verified = inst.verify();
+        out.snap = analysis::ReplayOracle::capture(
+            board.nvram(), analysis::ReplayOracle::appStateFilter());
+    }
     out.census = inj.census();
     out.firedCuts = sup->firedAt();
     out.injectedDeaths = sup->injectedDeaths();
@@ -472,70 +423,16 @@ shrinkViolationFromBoot(const CampaignConfig &cfg, const PairSpec &spec,
 std::vector<PairSpec>
 campaignPairs(const CampaignConfig &cfg)
 {
-    const apps::BcParams bcParams = cfg.bc;
-    const apps::CuckooParams cuckooParams = cfg.cuckoo;
-
-    const auto bcLegacy = [bcParams](board::Board &b, auto &rt) {
-        return std::make_unique<apps::BcLegacyApp>(b, rt, bcParams);
-    };
-    const auto cuckooLegacy = [cuckooParams](board::Board &b, auto &rt) {
-        return std::make_unique<apps::CuckooLegacyApp>(b, rt,
-                                                       cuckooParams);
-    };
-    const auto makeTics = [] {
-        return std::make_unique<tics::TicsRuntime>(ticsCampaignConfig());
-    };
-    const auto makeMementos = [] {
-        return std::make_unique<runtimes::MementosRuntime>();
-    };
-    const auto makeChinchilla = [] {
-        return std::make_unique<runtimes::ChinchillaRuntime>();
-    };
-    const auto makeTask = [] {
-        return std::make_unique<taskrt::TaskRuntime>();
-    };
-    const auto makePlain = [] {
-        return std::make_unique<runtimes::PlainCRuntime>();
-    };
+    harness::ScenarioParams params;
+    params.bc = cfg.bc;
+    params.cuckoo = cfg.cuckoo;
+    params.tics = harness::matrixTics();
 
     std::vector<PairSpec> out;
-    out.push_back(makePairSpec("BC", "TICS", true, "tics.ckpt",
-                               makeTics, bcLegacy));
-    out.push_back(makePairSpec("BC", "MementOS-like", true,
-                               "mementos.ckpt", makeMementos, bcLegacy));
-    out.push_back(makePairSpec(
-        "BC", "Chinchilla-like", true, "chinchilla.ckpt", makeChinchilla,
-        [bcParams](board::Board &b, auto &rt) {
-            return std::make_unique<apps::BcChinchillaApp>(b, rt,
-                                                           bcParams);
-        }));
-    out.push_back(makePairSpec(
-        "BC", "Alpaca-like", true, "", makeTask,
-        [bcParams](board::Board &b, auto &rt) {
-            return std::make_unique<apps::BcTaskApp>(b, rt, bcParams);
-        }));
-    out.push_back(makePairSpec("BC", "plain-C", false, "", makePlain,
-                               bcLegacy));
-
-    out.push_back(makePairSpec("Cuckoo", "TICS", true, "tics.ckpt",
-                               makeTics, cuckooLegacy));
-    out.push_back(makePairSpec("Cuckoo", "MementOS-like", true,
-                               "mementos.ckpt", makeMementos,
-                               cuckooLegacy));
-    out.push_back(makePairSpec(
-        "Cuckoo", "Chinchilla-like", true, "chinchilla.ckpt",
-        makeChinchilla, [cuckooParams](board::Board &b, auto &rt) {
-            return std::make_unique<apps::CuckooChinchillaApp>(
-                b, rt, cuckooParams);
-        }));
-    out.push_back(makePairSpec(
-        "Cuckoo", "Alpaca-like", true, "", makeTask,
-        [cuckooParams](board::Board &b, auto &rt) {
-            return std::make_unique<apps::CuckooTaskApp>(b, rt,
-                                                         cuckooParams);
-        }));
-    out.push_back(makePairSpec("Cuckoo", "plain-C", false, "",
-                               makePlain, cuckooLegacy));
+    for (const harness::Scenario &s : harness::scenarios()) {
+        if (harness::inConsistencyMatrix(s))
+            out.push_back({s.app, s.runtime, &s, params});
+    }
     return out;
 }
 
@@ -678,7 +575,7 @@ runCampaign(const CampaignConfig &cfg)
         PairReport pr;
         pr.app = pairs[pi].app;
         pr.runtime = pairs[pi].runtime;
-        pr.isProtected = pairs[pi].isProtected;
+        pr.isProtected = pairs[pi].scenario->isProtected;
         pr.refCompleted = refs[pi].res.completed;
 
         std::set<std::string> minimizedSeen;
@@ -740,8 +637,15 @@ bool
 replayPlanDetailed(const CampaignConfig &cfg, const std::string &pairName,
                    const FaultPlan &plan, ReplayDetail &out)
 {
+    const auto slash = pairName.find('/');
+    if (slash == std::string::npos)
+        return false;
+    const std::string_view app(pairName.data(), slash);
+    const std::string_view runtime =
+        std::string_view(pairName).substr(slash + 1);
     for (const auto &spec : campaignPairs(cfg)) {
-        if (spec.app + "/" + spec.runtime != pairName)
+        if (!harness::sameApp(spec.app, app) ||
+            !harness::sameRuntime(spec.runtime, runtime))
             continue;
         const PairRunOutcome ref =
             runPairWithPlan(cfg, spec, FaultPlan{}, /*observe=*/true);

@@ -25,7 +25,6 @@
 #define TICSIM_FAULT_CAMPAIGN_HPP
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +34,7 @@
 #include "board/board.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "harness/scenario.hpp"
 #include "support/table.hpp"
 
 namespace ticsim::fault {
@@ -92,30 +92,24 @@ struct PairRunOutcome {
 };
 
 /**
- * A pair's components, disassembled: stepwise drivers (the failure-
- * space explorer, the fork shrinker) begin/continue the board run
- * themselves and call verify() at every explored leaf instead of once
- * after a whole run.
+ * One (app, runtime) campaign target: a catalog row at the campaign's
+ * app sizes and TICS setup. Stepwise drivers (the failure-space
+ * explorer, the fork shrinker) make() the pair on their own board,
+ * begin/continue the run themselves and call verify() at every
+ * explored leaf instead of once after a whole run.
  */
-struct PairEnv {
-    std::unique_ptr<board::Runtime> runtime;
-    std::shared_ptr<void> app; ///< keeps the app object alive
-    std::function<void()> entry; ///< null for task-model apps
-    std::function<bool()> verify;
-};
-
-/** One (app, runtime) campaign target. */
 struct PairSpec {
     std::string app;
     std::string runtime;
-    bool isProtected = true;
-    /** CheckpointArea region prefix ("tics.ckpt", ...) for stale-slot
-     *  flip schedules; empty when the runtime has no checkpoint area. */
-    std::string ckptPrefix;
-    /** Build runtime + app on @p board and run to completion/budget. */
-    std::function<PairRunOutcome(board::Board &, TimeNs budget)> run;
-    /** Build runtime + app on @p board without running (see PairEnv). */
-    std::function<PairEnv(board::Board &)> make;
+    const harness::Scenario *scenario = nullptr;
+    harness::ScenarioParams params;
+
+    /** Build the runtime and app on @p board without running them. */
+    harness::ScenarioInstance
+    make(board::Board &board) const
+    {
+        return scenario->build(board, params);
+    }
 };
 
 /**
@@ -141,10 +135,10 @@ Classification classifyOutcome(const PairRunOutcome &ref,
 
 /**
  * One subject (or reference) execution: fresh board, fresh runtime and
- * app from the pair's factories, a FaultedSupply over a continuous
+ * app from the pair's catalog row, a FaultedSupply over a continuous
  * inner supply, and the injector installed as access sink + store gate
- * for the whole run. The factories rebuild identical objects each
- * time, so arena layouts match and the replay diff is byte-meaningful.
+ * for the whole run. The row rebuilds identical objects each time, so
+ * arena layouts match and the replay diff is byte-meaningful.
  */
 PairRunOutcome runPairWithPlan(const CampaignConfig &cfg,
                                const PairSpec &spec, const FaultPlan &plan,
@@ -156,9 +150,9 @@ PairRunOutcome runPairWithPlan(const CampaignConfig &cfg,
 FaultPlan planFromAtoms(const FaultPlan &full,
                         const std::vector<std::size_t> &keep);
 
-/** The campaign matrix: BC and Cuckoo under TICS, MementOS-like,
- *  Chinchilla-like, Alpaca-like tasks, and plain C (10 pairs,
- *  mirroring ticscheck). */
+/** The campaign matrix: the catalog's consistency-matrix rows (BC and
+ *  Cuckoo under TICS, MementOS-like, Chinchilla-like, Alpaca-like
+ *  tasks, and plain C; 10 pairs, mirroring ticscheck). */
 std::vector<PairSpec> campaignPairs(const CampaignConfig &cfg);
 
 /** What one evaluation of a candidate plan observed. */
@@ -239,9 +233,10 @@ struct CampaignReport {
 CampaignReport runCampaign(const CampaignConfig &cfg);
 
 /**
- * Re-execute one plan against one pair ("App/Runtime"), reporting the
- * violation kind ("consistent" when the run is clean). Returns false
- * when the pair name matches nothing.
+ * Re-execute one plan against one pair ("App/Runtime", either name
+ * exact or a catalog alias such as "CF/tics"), reporting the violation
+ * kind ("consistent" when the run is clean). Returns false when the
+ * pair name matches no campaign pair.
  */
 bool replayPlan(const CampaignConfig &cfg, const std::string &pairName,
                 const FaultPlan &plan, std::string &verdictOut);

@@ -246,7 +246,8 @@ bindReference(const PairRunOutcome &ref, board::Board &board)
 /** A leaf's verdict: the app's verify(), then the live arena diffed in
  *  place against the bound reference. */
 Classification
-judgeLeaf(const analysis::BoundReference &oracle, const PairEnv &env,
+judgeLeaf(const analysis::BoundReference &oracle,
+          const harness::ScenarioInstance &env,
           const board::RunResult &res)
 {
     const bool verified = env.verify();
@@ -286,7 +287,7 @@ class ShardWalker
         sink_ = &sink;
         mem::ScopedAccessSink as(&sink);
         mem::ScopedStoreGate sg(&sink);
-        PairEnv env = spec_.make(board);
+        harness::ScenarioInstance env = spec_.make(board);
         env_ = &env;
         mem::WriteJournal journal;
         mem::ScopedWriteJournal sj(&journal);
@@ -392,7 +393,7 @@ class ShardWalker
     board::Board *board_ = nullptr;
     FaultedSupply *sup_ = nullptr;
     ExploreSink *sink_ = nullptr;
-    PairEnv *env_ = nullptr;
+    harness::ScenarioInstance *env_ = nullptr;
     const analysis::BoundReference *oracle_ = nullptr;
     std::vector<BranchAtom> path_;
     ShardStats st_;
@@ -601,10 +602,10 @@ explorePair(const ExploreConfig &cfg, const PairSpec &spec)
     PairExploreResult out;
     out.app = spec.app;
     out.runtime = spec.runtime;
-    out.isProtected = spec.isProtected;
-    if (!spec.make)
-        fatal("explore: pair '%s/%s' has no factory", spec.app.c_str(),
+    if (!spec.scenario)
+        fatal("explore: pair '%s/%s' has no scenario", spec.app.c_str(),
               spec.runtime.c_str());
+    out.isProtected = spec.scenario->isProtected;
     if (cfg.maxFaults == 0)
         fatal("explore: maxFaults must be at least 1");
 
@@ -716,8 +717,8 @@ forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
                     const PairRunOutcome &ref, const FaultPlan &original,
                     const Classification &firstSeen)
 {
-    if (!spec.make)
-        fatal("explore: pair '%s/%s' has no factory", spec.app.c_str(),
+    if (!spec.scenario)
+        fatal("explore: pair '%s/%s' has no scenario", spec.app.c_str(),
               spec.runtime.c_str());
 
     // Recording pass: one fault-free run — the common prefix of every
@@ -733,7 +734,7 @@ forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
     ShrinkRecorder rec(board, original);
     mem::ScopedAccessSink as(&rec);
     mem::ScopedStoreGate sg(&rec);
-    PairEnv env = spec.make(board);
+    harness::ScenarioInstance env = spec.make(board);
     mem::WriteJournal journal;
     mem::ScopedWriteJournal sj(&journal);
     board.beginRun(*env.runtime, env.entry, cfg.budget);

@@ -7,6 +7,8 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "harness/scenario.hpp"
+
 namespace ticsim::sweep {
 
 std::uint64_t
@@ -171,36 +173,6 @@ parseEnvToken(const std::string &tok, std::string &out)
     return true;
 }
 
-const char *
-canonicalApp(const std::string &token)
-{
-    const std::string t = lower(trim(token));
-    if (t == "ar")
-        return "AR";
-    if (t == "bc" || t == "bitcount")
-        return "BC";
-    if (t == "cf" || t == "cuckoo")
-        return "CF";
-    return nullptr;
-}
-
-const char *
-canonicalRuntime(const std::string &token)
-{
-    const std::string t = lower(trim(token));
-    if (t == "plain-c" || t == "plainc" || t == "plain")
-        return "plain-C";
-    if (t == "tics")
-        return "TICS";
-    if (t == "mementos-like" || t == "mementos")
-        return "MementOS-like";
-    if (t == "chinchilla-like" || t == "chinchilla")
-        return "Chinchilla-like";
-    if (t == "alpaca-like" || t == "alpaca" || t == "task")
-        return "Alpaca-like";
-    return nullptr;
-}
-
 std::string
 Cell::canonical() const
 {
@@ -336,7 +308,7 @@ parseAxis(GridSpec &spec, const std::string &key,
     if (k == "apps") {
         spec.apps.clear();
         for (const auto &it : items) {
-            const char *canon = canonicalApp(it);
+            const char *canon = harness::canonicalApp(it);
             if (!canon) {
                 err = "unknown app '" + it + "' (AR, BC, CF)";
                 return false;
@@ -348,7 +320,7 @@ parseAxis(GridSpec &spec, const std::string &key,
     if (k == "runtimes") {
         spec.runtimes.clear();
         for (const auto &it : items) {
-            const char *canon = canonicalRuntime(it);
+            const char *canon = harness::canonicalRuntime(it);
             if (!canon) {
                 err = "unknown runtime '" + it +
                       "' (plain-C, TICS, MementOS-like, "

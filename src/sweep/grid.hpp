@@ -58,12 +58,6 @@ struct SupplyAxis {
  */
 bool parseSupplyToken(const std::string &tok, SupplyAxis &out);
 
-/** Canonical app name for a (case-insensitive) token, or nullptr. */
-const char *canonicalApp(const std::string &token);
-
-/** Canonical runtime name for a token, or nullptr. */
-const char *canonicalRuntime(const std::string &token);
-
 /**
  * Validate an environment-trace axis token: "none" (no trace) or a
  * [a-z0-9_-] trace name resolved against docs/traces at run time.

@@ -6,24 +6,11 @@
 #include <memory>
 #include <utility>
 
-#include "apps/ar/ar_chinchilla.hpp"
-#include "apps/ar/ar_legacy.hpp"
-#include "apps/ar/ar_task.hpp"
-#include "apps/bc/bc_chinchilla.hpp"
-#include "apps/bc/bc_legacy.hpp"
-#include "apps/bc/bc_task.hpp"
-#include "apps/cuckoo/cuckoo_chinchilla.hpp"
-#include "apps/cuckoo/cuckoo_legacy.hpp"
-#include "apps/cuckoo/cuckoo_task.hpp"
 #include "harness/experiment.hpp"
+#include "harness/scenario.hpp"
 #include "perf/host_profiler.hpp"
-#include "runtimes/chinchilla.hpp"
-#include "runtimes/mementos.hpp"
-#include "runtimes/plainc.hpp"
-#include "runtimes/task_core.hpp"
 #include "support/logging.hpp"
 #include "sweep/job_pool.hpp"
-#include "tics/runtime.hpp"
 
 namespace ticsim::sweep {
 
@@ -64,154 +51,47 @@ supplySpecFor(const Cell &cell)
     return spec;
 }
 
-/**
- * One fresh board + runtime + app, exactly like the checker's
- * reference runs: nothing persists between cells, so a cell's result
- * depends only on its configuration.
- */
-template <typename MakeRt, typename MakeApp>
-CellResult
-runWith(const Cell &cell, TimeNs budget, const MakeRt &makeRt,
-        const MakeApp &makeApp)
-{
-    auto board = harness::makeBoard(supplySpecFor(cell), cell.seed);
-    auto rt = makeRt();
-    auto app = makeApp(*board, *rt);
-
-    std::function<void()> entry;
-    if constexpr (requires { app->main(); })
-        entry = [&app] { app->main(); };
-
-    board::RunResult res;
-    {
-        perf::HostScope scope(perf::HostZone::SimCore);
-        res = board->run(*rt, std::move(entry), budget);
-    }
-
-    CellResult out;
-    out.completed = res.completed;
-    out.starved = res.starved;
-    out.verified = app->verify();
-    out.reboots = res.reboots;
-    out.cycles = res.cycles;
-    out.elapsedNs = res.elapsed;
-    out.onTimeNs = res.onTime;
-    out.simMs.sample(out.simMsValue());
-    return out;
-}
-
-template <typename MakeRt>
-CellResult
-runLegacyApp(const Cell &cell, TimeNs budget, const MakeRt &makeRt)
-{
-    if (cell.app == "AR") {
-        return runWith(cell, budget, makeRt,
-                       [](board::Board &b, auto &rt) {
-                           return std::make_unique<apps::ArLegacyApp>(
-                               b, rt, apps::ArParams{});
-                       });
-    }
-    if (cell.app == "BC") {
-        return runWith(cell, budget, makeRt,
-                       [](board::Board &b, auto &rt) {
-                           return std::make_unique<apps::BcLegacyApp>(
-                               b, rt, apps::BcParams{});
-                       });
-    }
-    return runWith(cell, budget, makeRt,
-                   [](board::Board &b, auto &rt) {
-                       return std::make_unique<apps::CuckooLegacyApp>(
-                           b, rt, apps::CuckooParams{});
-                   });
-}
-
 } // namespace
 
 CellResult
 runCell(const Cell &cell, const SweepConfig &cfg)
 {
+    const harness::Scenario &s = harness::scenario(cell.app, cell.runtime);
     // Plain C under an interrupting supply restarts from scratch every
     // reboot; time-box it like the checker does. Environment traces
     // are always interrupting (that is their point).
     const bool interrupting =
         !cell.env.empty() ||
         cell.supply.kind != SupplyKind::Continuous;
-    const TimeNs budget = (cell.runtime == "plain-C" && interrupting)
+    const TimeNs budget = (!s.isProtected && interrupting)
                               ? cfg.unprotectedBudget
                               : cfg.budget;
 
-    if (cell.runtime == "plain-C") {
-        return runLegacyApp(cell, budget, [] {
-            return std::make_unique<runtimes::PlainCRuntime>();
-        });
+    // One fresh board + runtime + app, exactly like the checker's
+    // reference runs: nothing persists between cells, so a cell's
+    // result depends only on its configuration.
+    harness::ScenarioParams params;
+    params.tics =
+        harness::sweepTics(cell.segmentBytes ? cell.segmentBytes : 256);
+    auto board = harness::makeBoard(supplySpecFor(cell), cell.seed);
+    harness::ScenarioInstance inst = s.build(*board, params);
+
+    board::RunResult res;
+    {
+        perf::HostScope scope(perf::HostZone::SimCore);
+        res = board->run(*inst.runtime, std::move(inst.entry), budget);
     }
-    if (cell.runtime == "TICS") {
-        const std::uint32_t seg =
-            cell.segmentBytes ? cell.segmentBytes : 256;
-        return runLegacyApp(cell, budget, [seg] {
-            tics::TicsConfig tc;
-            tc.segmentBytes = seg;
-            tc.policy = tics::PolicyKind::Timer;
-            tc.timerPeriod = 10 * kNsPerMs;
-            return std::make_unique<tics::TicsRuntime>(tc);
-        });
-    }
-    if (cell.runtime == "MementOS-like") {
-        return runLegacyApp(cell, budget, [] {
-            return std::make_unique<runtimes::MementosRuntime>();
-        });
-    }
-    if (cell.runtime == "Chinchilla-like") {
-        const auto makeRt = [] {
-            return std::make_unique<runtimes::ChinchillaRuntime>();
-        };
-        if (cell.app == "AR") {
-            return runWith(
-                cell, budget, makeRt, [](board::Board &b, auto &rt) {
-                    return std::make_unique<apps::ArChinchillaApp>(
-                        b, rt, apps::ArParams{});
-                });
-        }
-        if (cell.app == "BC") {
-            // Chinchilla cannot compile the recursive BC; the sweep
-            // runs the hand-derecursed variant (Fig. 9's extra row).
-            return runWith(
-                cell, budget, makeRt, [](board::Board &b, auto &rt) {
-                    return std::make_unique<apps::BcChinchillaApp>(
-                        b, rt, apps::BcParams{});
-                });
-        }
-        return runWith(
-            cell, budget, makeRt, [](board::Board &b, auto &rt) {
-                return std::make_unique<apps::CuckooChinchillaApp>(
-                    b, rt, apps::CuckooParams{});
-            });
-    }
-    if (cell.runtime == "Alpaca-like") {
-        const auto makeRt = [] {
-            return std::make_unique<taskrt::TaskRuntime>();
-        };
-        if (cell.app == "AR") {
-            return runWith(
-                cell, budget, makeRt, [](board::Board &b, auto &rt) {
-                    return std::make_unique<apps::ArTaskApp>(
-                        b, rt, apps::ArParams{});
-                });
-        }
-        if (cell.app == "BC") {
-            return runWith(
-                cell, budget, makeRt, [](board::Board &b, auto &rt) {
-                    return std::make_unique<apps::BcTaskApp>(
-                        b, rt, apps::BcParams{});
-                });
-        }
-        return runWith(
-            cell, budget, makeRt, [](board::Board &b, auto &rt) {
-                return std::make_unique<apps::CuckooTaskApp>(
-                    b, rt, apps::CuckooParams{});
-            });
-    }
-    fatal("ticssweep: unknown runtime '%s'", cell.runtime.c_str());
+
+    CellResult out;
+    out.completed = res.completed;
+    out.starved = res.starved;
+    out.verified = inst.verify();
+    out.reboots = res.reboots;
+    out.cycles = res.cycles;
+    out.elapsedNs = res.elapsed;
+    out.onTimeNs = res.onTime;
+    out.simMs.sample(out.simMsValue());
+    return out;
 }
 
 SweepResult

@@ -3,18 +3,12 @@
 #include <cstdio>
 #include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 
 #include "analysis/access_trace.hpp"
 #include "analysis/war_detector.hpp"
-#include "apps/ar/ar_legacy.hpp"
-#include "apps/ghm/ghm.hpp"
-#include "apps/study/study.hpp"
 #include "harness/experiment.hpp"
-#include "runtimes/plainc.hpp"
 #include "sweep/job_pool.hpp"
-#include "verify/demo_app.hpp"
 
 namespace ticsim::verify {
 
@@ -47,42 +41,29 @@ countDuplicateSends(board::Board &b)
     return dups;
 }
 
-tics::TicsConfig
-probeTicsConfig()
-{
-    tics::TicsConfig c;
-    c.segmentBytes = 256;
-    c.policy = tics::PolicyKind::Timer;
-    c.timerPeriod = 5 * kNsPerMs;
-    return c;
-}
-
 /**
- * One intermittent probe run under the deployment reset pattern,
- * traced with the dynamic checker's own pipeline.
+ * One intermittent probe run of @p s under the deployment reset
+ * pattern, traced with the dynamic checker's own pipeline.
  */
-template <typename MakeRt, typename MakeApp>
 DynamicEvidence
-runProbe(const VerifyConfig &cfg, const std::string &appName,
-         TimeNs budget, const MakeRt &makeRt, const MakeApp &makeApp)
+probe(const VerifyConfig &cfg, const harness::Scenario &s,
+      const harness::ScenarioParams &params)
 {
+    const TimeNs budget =
+        s.isProtected ? cfg.calibrationBudget : 3 * kNsPerSec;
     const auto spec = harness::patternSpec(cfg.patternPeriod,
                                            cfg.patternOnFraction);
     auto board = harness::makeBoard(spec, cfg.seed);
-    auto rt = makeRt();
-    auto app = makeApp(*board, *rt);
-
-    std::function<void()> entry;
-    if constexpr (requires { app->main(); })
-        entry = [&app] { app->main(); };
+    harness::ScenarioInstance inst = s.build(*board, params);
 
     analysis::AccessTracer tracer(*board);
-    const auto res = board->run(*rt, std::move(entry), budget);
+    const auto res =
+        board->run(*inst.runtime, std::move(inst.entry), budget);
     tracer.finalize();
 
     DynamicEvidence ev;
-    ev.app = appName;
-    ev.runtime = rt->name();
+    ev.app = s.app;
+    ev.runtime = s.runtime;
     ev.war = analysis::WarHazardDetector(board->nvram())
                  .analyze(tracer.intervals());
     ev.expirationsObserved =
@@ -118,7 +99,7 @@ CrossValReport
 crossValidate(const VerifyConfig &cfg)
 {
     // The evidence gatherers — the static verifier matrix, the dynamic
-    // checker matrix and the seven probe runs — are independent (every
+    // checker matrix and the probe runs — are independent (every
     // run builds a fresh Board and all runtime hooks are thread_local),
     // so they execute as coarse jobs on the sweep pool. Each writes
     // into its own pre-allocated slot; the matching below walks the
@@ -131,73 +112,26 @@ crossValidate(const VerifyConfig &cfg)
     dyn.bc = cfg.bc;
     dyn.cuckoo = cfg.cuckoo;
 
-    const auto makeTics = [] {
-        return std::make_unique<tics::TicsRuntime>(probeTicsConfig());
-    };
-    const auto makePlain = [] {
-        return std::make_unique<runtimes::PlainCRuntime>();
-    };
-    const TimeNs protectedBudget = cfg.calibrationBudget;
-    const TimeNs unprotectedBudget = 3 * kNsPerSec;
-
-    const auto arLegacy = [&cfg](board::Board &b, auto &rt) {
-        return std::make_unique<apps::ArLegacyApp>(b, rt, cfg.ar);
-    };
-    const auto ghmPlain = [](board::Board &b, auto &rt) {
-        apps::GhmParams p;
-        p.rounds = 8;
-        return std::make_unique<apps::GhmPlainApp>(b, rt, p);
-    };
+    // Probes cover the verifier's rows that the checker's matrix
+    // leaves out (AR, GHM, Study, SensorRelay).
+    harness::ScenarioParams params;
+    params.ar = cfg.ar;
+    params.tics = harness::matrixTics();
+    std::vector<const harness::Scenario *> probed;
+    for (const harness::Scenario *s : verifierScenarios())
+        if (!harness::inConsistencyMatrix(*s))
+            probed.push_back(s);
 
     std::vector<AppVerdict> verdicts;
     std::vector<analysis::ScenarioFinding> scenarios;
-    std::vector<DynamicEvidence> probes(7);
+    std::vector<DynamicEvidence> probes(probed.size());
 
     std::vector<std::function<void()>> gather;
     gather.push_back([&] { verdicts = verifyMatrix(cfg); });
     gather.push_back([&] { scenarios = analysis::checkMatrix(dyn); });
-    gather.push_back([&] {
-        probes[0] = runProbe(cfg, "AR", protectedBudget, makeTics,
-                             arLegacy);
-    });
-    gather.push_back([&] {
-        probes[1] = runProbe(cfg, "AR", unprotectedBudget, makePlain,
-                             arLegacy);
-    });
-    gather.push_back([&] {
-        probes[2] = runProbe(cfg, "GHM", protectedBudget, makeTics,
-                             ghmPlain);
-    });
-    gather.push_back([&] {
-        probes[3] = runProbe(cfg, "GHM", unprotectedBudget, makePlain,
-                             ghmPlain);
-    });
-    gather.push_back([&] {
-        probes[4] = runProbe(
-            cfg, "Study", protectedBudget, makeTics,
-            [](board::Board &b, tics::TicsRuntime &rt) {
-                return std::make_unique<apps::study::TimekeepTics>(
-                    b, rt, 40 * kNsPerMs);
-            });
-    });
-    gather.push_back([&] {
-        probes[5] = runProbe(
-            cfg, "Relay+guard", protectedBudget, makeTics,
-            [](board::Board &b, tics::TicsRuntime &rt) {
-                SensorRelayOptions o;
-                return std::make_unique<SensorRelayApp>(b, rt, o);
-            });
-    });
-    gather.push_back([&] {
-        probes[6] = runProbe(
-            cfg, "Relay-unguard", protectedBudget, makeTics,
-            [](board::Board &b, tics::TicsRuntime &rt) {
-                SensorRelayOptions o;
-                o.checkFreshness = false;
-                o.useVirtualRadio = false;
-                return std::make_unique<SensorRelayApp>(b, rt, o);
-            });
-    });
+    for (std::size_t i = 0; i < probed.size(); ++i)
+        gather.push_back(
+            [&, i] { probes[i] = probe(cfg, *probed[i], params); });
 
     const sweep::JobPool pool(cfg.jobs);
     pool.run(gather.size(),

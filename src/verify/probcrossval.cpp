@@ -4,29 +4,13 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <functional>
 #include <map>
-#include <memory>
 #include <utility>
 
-#include "apps/ar/ar_chinchilla.hpp"
-#include "apps/ar/ar_legacy.hpp"
-#include "apps/ar/ar_task.hpp"
-#include "apps/bc/bc_chinchilla.hpp"
-#include "apps/bc/bc_legacy.hpp"
-#include "apps/bc/bc_task.hpp"
-#include "apps/cuckoo/cuckoo_chinchilla.hpp"
-#include "apps/cuckoo/cuckoo_legacy.hpp"
-#include "apps/cuckoo/cuckoo_task.hpp"
-#include "harness/experiment.hpp"
-#include "runtimes/chinchilla.hpp"
-#include "runtimes/mementos.hpp"
-#include "runtimes/plainc.hpp"
-#include "runtimes/task_core.hpp"
+#include "harness/scenario.hpp"
 #include "sweep/sweep.hpp"
-#include "tics/runtime.hpp"
-#include "verify/demo_app.hpp"
 #include "verify/envmodel.hpp"
+#include "verify/verifier.hpp"
 
 namespace ticsim::verify {
 
@@ -44,49 +28,18 @@ fmt(const char *f, ...)
 }
 
 /**
- * One failure-free calibration run with the *sweep's* app and runtime
- * configurations (default app parameters, the 10 ms timer TICS
- * setup), so the recovered model describes exactly the programs the
- * simulated cells run. This intentionally differs from verifyMatrix,
- * which matches the dynamic checker's matrix instead.
+ * The sweep's app and runtime configurations (default app sizes, the
+ * sweep's TICS setup at 256 B segments), so a recovered model describes
+ * exactly the programs the simulated cells run. This intentionally
+ * differs from verifyMatrix, which matches the dynamic checker's
+ * matrix instead.
  */
-template <typename MakeRt, typename MakeApp>
-ProgramModel
-recoverSweepModel(const ProbCrossValConfig &cfg,
-                  const std::string &appName, const MakeRt &makeRt,
-                  const MakeApp &makeApp, std::uint32_t segmentBytes)
+harness::ScenarioParams
+sweepParams()
 {
-    auto board =
-        harness::makeBoard(harness::continuousSpec(), cfg.modelSeed);
-    auto rt = makeRt();
-    auto app = makeApp(*board, *rt);
-
-    std::function<void()> entry;
-    if constexpr (requires { app->main(); })
-        entry = [&app] { app->main(); };
-
-    ModelRecorder rec(*board);
-    const auto res =
-        board->run(*rt, std::move(entry), cfg.calibrationBudget);
-    rec.finalize();
-
-    ProgramModel model = std::move(rec.model());
-    model.app = appName;
-    model.runtime = rt->name();
-    model.calibrated = res.completed && app->verify();
-    model.segmentBytes = segmentBytes;
-    return model;
-}
-
-/** The sweep's TICS configuration (10 ms timer, 256 B segments). */
-std::unique_ptr<tics::TicsRuntime>
-makeSweepTics()
-{
-    tics::TicsConfig tc;
-    tc.segmentBytes = 256;
-    tc.policy = tics::PolicyKind::Timer;
-    tc.timerPeriod = 10 * kNsPerMs;
-    return std::make_unique<tics::TicsRuntime>(tc);
+    harness::ScenarioParams p;
+    p.tics = harness::sweepTics(256);
+    return p;
 }
 
 const char *const kApps[] = {"AR", "BC", "CF"};
@@ -174,108 +127,13 @@ ProgramModel
 recoverSweepPair(const ProbCrossValConfig &cfg, const std::string &app,
                 const std::string &runtime)
 {
-    const auto makeTics = [] { return makeSweepTics(); };
-    const auto makeMementos = [] {
-        return std::make_unique<runtimes::MementosRuntime>();
-    };
-    const auto makeChinchilla = [] {
-        return std::make_unique<runtimes::ChinchillaRuntime>();
-    };
-    const auto makeTask = [] {
-        return std::make_unique<taskrt::TaskRuntime>();
-    };
-    const auto makePlain = [] {
-        return std::make_unique<runtimes::PlainCRuntime>();
-    };
-
-    const std::uint32_t seg = runtime == "TICS" ? 256 : 0;
-    const auto legacy = [&](const auto &makeRt) {
-        if (app == "AR") {
-            return recoverSweepModel(
-                cfg, app, makeRt,
-                [](board::Board &b, auto &rt) {
-                    return std::make_unique<apps::ArLegacyApp>(
-                        b, rt, apps::ArParams{});
-                },
-                seg);
-        }
-        if (app == "BC") {
-            return recoverSweepModel(
-                cfg, app, makeRt,
-                [](board::Board &b, auto &rt) {
-                    return std::make_unique<apps::BcLegacyApp>(
-                        b, rt, apps::BcParams{});
-                },
-                seg);
-        }
-        return recoverSweepModel(
-            cfg, app, makeRt,
-            [](board::Board &b, auto &rt) {
-                return std::make_unique<apps::CuckooLegacyApp>(
-                    b, rt, apps::CuckooParams{});
-            },
-            seg);
-    };
-
-    if (runtime == "TICS")
-        return legacy(makeTics);
-    if (runtime == "plain-C")
-        return legacy(makePlain);
-    if (runtime == "MementOS-like")
-        return legacy(makeMementos);
-    if (runtime == "Chinchilla-like") {
-        if (app == "AR") {
-            return recoverSweepModel(
-                cfg, app, makeChinchilla,
-                [](board::Board &b, auto &rt) {
-                    return std::make_unique<apps::ArChinchillaApp>(
-                        b, rt, apps::ArParams{});
-                },
-                0);
-        }
-        if (app == "BC") {
-            return recoverSweepModel(
-                cfg, app, makeChinchilla,
-                [](board::Board &b, auto &rt) {
-                    return std::make_unique<apps::BcChinchillaApp>(
-                        b, rt, apps::BcParams{});
-                },
-                0);
-        }
-        return recoverSweepModel(
-            cfg, app, makeChinchilla,
-            [](board::Board &b, auto &rt) {
-                return std::make_unique<apps::CuckooChinchillaApp>(
-                    b, rt, apps::CuckooParams{});
-            },
-            0);
-    }
-    // Alpaca-like
-    if (app == "AR") {
-        return recoverSweepModel(
-            cfg, app, makeTask,
-            [](board::Board &b, auto &rt) {
-                return std::make_unique<apps::ArTaskApp>(
-                    b, rt, apps::ArParams{});
-            },
-            0);
-    }
-    if (app == "BC") {
-        return recoverSweepModel(
-            cfg, app, makeTask,
-            [](board::Board &b, auto &rt) {
-                return std::make_unique<apps::BcTaskApp>(
-                    b, rt, apps::BcParams{});
-            },
-            0);
-    }
-    return recoverSweepModel(
-        cfg, app, makeTask,
-        [](board::Board &b, auto &rt) {
-            return std::make_unique<apps::CuckooTaskApp>(
-                b, rt, apps::CuckooParams{});
-        },
-        0);
+    ProgramModel model =
+        calibrateModel(harness::scenario(app, runtime), sweepParams(),
+                       cfg.modelSeed, cfg.calibrationBudget,
+                       /*record=*/false);
+    // Rows and freshness estimates carry the sweep's spelling ("CF").
+    model.app = app;
+    return model;
 }
 
 ProbStaticResult
@@ -346,17 +204,10 @@ probStaticAnalyze(const ProbCrossValConfig &cfg)
     // variable must earn a nonzero violation probability under any
     // environment that can interleave an outage between sample and
     // use.
-    for (const bool guarded : {true, false}) {
-        const ProgramModel model = recoverSweepModel(
-            cfg, guarded ? "Relay+guard" : "Relay-unguard",
-            [] { return makeSweepTics(); },
-            [guarded](board::Board &b, tics::TicsRuntime &rt) {
-                SensorRelayOptions o;
-                o.checkFreshness = guarded;
-                o.useVirtualRadio = guarded;
-                return std::make_unique<SensorRelayApp>(b, rt, o);
-            },
-            256);
+    for (const harness::Scenario &relay : relayScenarios()) {
+        const ProgramModel model =
+            calibrateModel(relay, sweepParams(), cfg.modelSeed,
+                           cfg.calibrationBudget, /*record=*/false);
         for (const EnvModel *env : {&envs.pat, &envs.sto}) {
             auto fresh = freshnessViolations(model, *env, costs);
             out.freshness.insert(out.freshness.end(), fresh.begin(),

@@ -125,7 +125,8 @@ struct ProbStaticResult {
  * Recover the sweep-matched model of one (app, runtime) pair: default
  * app parameters and the sweep's runtime configurations (TICS 10 ms
  * timer, 256 B segment), mirroring sweep::runCell — deliberately not
- * verifyMatrix's checker-matched configuration.
+ * verifyMatrix's checker-matched configuration. A pair the scenario
+ * catalog does not hold is fatal.
  */
 ProgramModel recoverSweepPair(const ProbCrossValConfig &cfg,
                               const std::string &app,

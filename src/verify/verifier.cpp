@@ -4,36 +4,15 @@
 #include <utility>
 
 #include "analysis/war_detector.hpp"
-#include "apps/ar/ar_legacy.hpp"
-#include "apps/bc/bc_chinchilla.hpp"
-#include "apps/bc/bc_task.hpp"
-#include "apps/cuckoo/cuckoo_chinchilla.hpp"
-#include "apps/cuckoo/cuckoo_legacy.hpp"
-#include "apps/cuckoo/cuckoo_task.hpp"
-#include "apps/ghm/ghm.hpp"
-#include "apps/study/study.hpp"
 #include "harness/experiment.hpp"
 #include "harness/report.hpp"
-#include "runtimes/chinchilla.hpp"
-#include "runtimes/mementos.hpp"
-#include "runtimes/plainc.hpp"
+#include "runtimes/task_core.hpp"
+#include "tics/runtime.hpp"
 #include "verify/demo_app.hpp"
 
 namespace ticsim::verify {
 
 namespace {
-
-tics::TicsConfig
-ticsMatrixConfig()
-{
-    // Matches the dynamic checker's matrix configuration so the
-    // cross-validation compares the same programs.
-    tics::TicsConfig c;
-    c.segmentBytes = 256;
-    c.policy = tics::PolicyKind::Timer;
-    c.timerPeriod = 5 * kNsPerMs;
-    return c;
-}
 
 /** Collapse detector hazards to deduplicated model WAR ranges. */
 void
@@ -72,29 +51,36 @@ fillTaskDispatches(ProgramModel &model)
     }
 }
 
-/**
- * One failure-free calibration run: fresh board + runtime + app under
- * a continuous supply, recorded through the ModelRecorder, WAR-
- * analyzed while the arena is still alive. @p extras lets a pair
- * harvest runtime-specific structure (task graph, segment size).
- */
-template <typename MakeRt, typename MakeApp, typename Extras>
-ProgramModel
-recoverModel(const VerifyConfig &cfg, const std::string &appName,
-             const MakeRt &makeRt, const MakeApp &makeApp,
-             const Extras &extras)
+template <bool Guarded>
+harness::ScenarioInstance
+buildRelay(board::Board &b, const harness::ScenarioParams &p)
 {
-    auto board = harness::makeBoard(harness::continuousSpec(), cfg.seed);
-    auto rt = makeRt();
-    auto app = makeApp(*board, *rt);
+    SensorRelayOptions o;
+    o.checkFreshness = Guarded;
+    o.useVirtualRadio = Guarded;
+    auto rt = std::make_unique<tics::TicsRuntime>(p.tics);
+    auto app = std::make_unique<SensorRelayApp>(b, *rt, o);
+    return harness::makeInstance(std::move(rt), std::move(app));
+}
 
-    std::function<void()> entry;
-    if constexpr (requires { app->main(); })
-        entry = [&app] { app->main(); };
+const harness::Scenario kRelay[] = {
+    {"Relay+guard", "TICS", true, "tics.ckpt", buildRelay<true>},
+    {"Relay-unguard", "TICS", true, "tics.ckpt", buildRelay<false>},
+};
+
+} // namespace
+
+ProgramModel
+calibrateModel(const harness::Scenario &s,
+               const harness::ScenarioParams &params, std::uint64_t seed,
+               TimeNs budget, bool record)
+{
+    auto board = harness::makeBoard(harness::continuousSpec(), seed);
+    harness::ScenarioInstance inst = s.build(*board, params);
 
     ModelRecorder rec(*board);
     const auto res =
-        board->run(*rt, std::move(entry), cfg.calibrationBudget);
+        board->run(*inst.runtime, std::move(inst.entry), budget);
     rec.finalize();
 
     // Interval view before the move below empties the recorder.
@@ -102,37 +88,48 @@ recoverModel(const VerifyConfig &cfg, const std::string &appName,
                          .analyze(rec.intervalView());
 
     ProgramModel model = std::move(rec.model());
-    model.app = appName;
-    model.runtime = rt->name();
-    bool verified = true;
-    if constexpr (requires { app->verify(); })
-        verified = app->verify();
-    else if constexpr (requires { app->outcome(); })
-        verified = app->outcome().consistent;
+    model.app = s.app;
+    model.runtime = s.runtime;
+    const bool verified = inst.verify();
     model.calibrated = res.completed && verified;
-
     fillWarRanges(model, war);
-    extras(*rt, model);
+    if (const auto *t = dynamic_cast<tics::TicsRuntime *>(
+            inst.runtime.get()))
+        model.segmentBytes = t->config().segmentBytes;
+    if (const auto *t = dynamic_cast<taskrt::TaskRuntime *>(
+            inst.runtime.get())) {
+        for (std::size_t i = 0; i < t->taskCount(); ++i)
+            model.tasks.push_back(
+                {t->task(static_cast<taskrt::TaskId>(i)).name, 0});
+        model.channelCount = t->channelCount();
+    }
     fillTaskDispatches(model);
 
-    harness::recordRun(appName + "/calibration", *rt, *board, res);
+    if (record)
+        harness::recordRun(model.app + "/calibration", *inst.runtime,
+                           *board, res);
     return model;
 }
 
-const auto kNoExtras = [](auto & /*rt*/, ProgramModel & /*m*/) {};
+std::span<const harness::Scenario>
+relayScenarios()
+{
+    return kRelay;
+}
 
-const auto kTicsExtras = [](tics::TicsRuntime &rt, ProgramModel &m) {
-    m.segmentBytes = rt.config().segmentBytes;
-};
-
-const auto kTaskExtras = [](taskrt::TaskRuntime &rt, ProgramModel &m) {
-    for (std::size_t i = 0; i < rt.taskCount(); ++i)
-        m.tasks.push_back(
-            {rt.task(static_cast<taskrt::TaskId>(i)).name, 0});
-    m.channelCount = rt.channelCount();
-};
-
-} // namespace
+std::vector<const harness::Scenario *>
+verifierScenarios()
+{
+    std::vector<const harness::Scenario *> out;
+    for (const harness::Scenario &s : harness::scenarios()) {
+        if (harness::inConsistencyMatrix(s) ||
+            std::string_view(s.runtime) == "TICS" || !s.isProtected)
+            out.push_back(&s);
+    }
+    for (const harness::Scenario &s : relayScenarios())
+        out.push_back(&s);
+    return out;
+}
 
 EnergyBudget
 deploymentBudget(const VerifyConfig &cfg,
@@ -152,147 +149,30 @@ verifyMatrix(const VerifyConfig &cfg)
     const device::CostModel costs{};
     const EnergyBudget budget = deploymentBudget(cfg, costs);
 
-    const auto makeTics = [] {
-        return std::make_unique<tics::TicsRuntime>(ticsMatrixConfig());
-    };
-    const auto makeMementos = [] {
-        return std::make_unique<runtimes::MementosRuntime>();
-    };
-    const auto makeChinchilla = [] {
-        return std::make_unique<runtimes::ChinchillaRuntime>();
-    };
-    const auto makeTask = [] {
-        return std::make_unique<taskrt::TaskRuntime>();
-    };
-    const auto makePlain = [] {
-        return std::make_unique<runtimes::PlainCRuntime>();
-    };
-
-    const auto bcLegacy = [&cfg](board::Board &b, auto &rt) {
-        return std::make_unique<apps::BcLegacyApp>(b, rt, cfg.bc);
-    };
-    const auto cuckooLegacy = [&cfg](board::Board &b, auto &rt) {
-        return std::make_unique<apps::CuckooLegacyApp>(b, rt,
-                                                       cfg.cuckoo);
-    };
-    const auto arLegacy = [&cfg](board::Board &b, auto &rt) {
-        return std::make_unique<apps::ArLegacyApp>(b, rt, cfg.ar);
-    };
-    const auto ghmPlain = [](board::Board &b, auto &rt) {
-        apps::GhmParams p;
-        p.rounds = 8;
-        return std::make_unique<apps::GhmPlainApp>(b, rt, p);
-    };
+    harness::ScenarioParams params;
+    params.ar = cfg.ar;
+    params.bc = cfg.bc;
+    params.cuckoo = cfg.cuckoo;
+    params.tics = harness::matrixTics();
 
     std::vector<AppVerdict> out;
-    const auto add = [&](const std::string &app, bool isProtected,
-                         ProgramModel model) {
+    for (const harness::Scenario *s : verifierScenarios()) {
         AppVerdict v;
-        v.app = app;
-        v.runtime = model.runtime;
-        v.isProtected = isProtected;
+        v.app = s->app;
+        v.runtime = s->runtime;
+        v.isProtected = s->isProtected;
         // MementOS-like used to carry expected WAR possibilities here:
         // with no undo log, globals written before a boot's first
         // checkpoint were unrecoverable. The genesis-snapshot
         // hardening (DESIGN.md Section 8) closed that window — fresh
         // boots rewrite tracked globals from their initial .data image
         // — so every protected runtime must now verify WAR-clean.
-        v.expectWar = !isProtected;
-        v.findings = analyzeAll(model, budget, costs);
-        v.model = std::move(model);
+        v.expectWar = !s->isProtected;
+        v.model = calibrateModel(*s, params, cfg.seed,
+                                 cfg.calibrationBudget, /*record=*/true);
+        v.findings = analyzeAll(v.model, budget, costs);
         out.push_back(std::move(v));
-    };
-
-    // BC and Cuckoo under every runtime (the ticscheck matrix).
-    add("BC", true,
-        recoverModel(cfg, "BC", makeTics, bcLegacy, kTicsExtras));
-    add("BC", true,
-        recoverModel(cfg, "BC", makeMementos, bcLegacy, kNoExtras));
-    add("BC", true,
-        recoverModel(
-            cfg, "BC", makeChinchilla,
-            [&cfg](board::Board &b, auto &rt) {
-                return std::make_unique<apps::BcChinchillaApp>(b, rt,
-                                                               cfg.bc);
-            },
-            kNoExtras));
-    add("BC", true,
-        recoverModel(
-            cfg, "BC", makeTask,
-            [&cfg](board::Board &b, auto &rt) {
-                return std::make_unique<apps::BcTaskApp>(b, rt, cfg.bc);
-            },
-            kTaskExtras));
-    add("BC", false,
-        recoverModel(cfg, "BC", makePlain, bcLegacy, kNoExtras));
-
-    add("Cuckoo", true,
-        recoverModel(cfg, "Cuckoo", makeTics, cuckooLegacy,
-                     kTicsExtras));
-    add("Cuckoo", true,
-        recoverModel(cfg, "Cuckoo", makeMementos, cuckooLegacy,
-                     kNoExtras));
-    add("Cuckoo", true,
-        recoverModel(
-            cfg, "Cuckoo", makeChinchilla,
-            [&cfg](board::Board &b, auto &rt) {
-                return std::make_unique<apps::CuckooChinchillaApp>(
-                    b, rt, cfg.cuckoo);
-            },
-            kNoExtras));
-    add("Cuckoo", true,
-        recoverModel(
-            cfg, "Cuckoo", makeTask,
-            [&cfg](board::Board &b, auto &rt) {
-                return std::make_unique<apps::CuckooTaskApp>(
-                    b, rt, cfg.cuckoo);
-            },
-            kTaskExtras));
-    add("Cuckoo", false,
-        recoverModel(cfg, "Cuckoo", makePlain, cuckooLegacy,
-                     kNoExtras));
-
-    // AR and GHM: the legacy apps under TICS and unprotected.
-    add("AR", true,
-        recoverModel(cfg, "AR", makeTics, arLegacy, kTicsExtras));
-    add("AR", false,
-        recoverModel(cfg, "AR", makePlain, arLegacy, kNoExtras));
-    add("GHM", true,
-        recoverModel(cfg, "GHM", makeTics, ghmPlain, kTicsExtras));
-    add("GHM", false,
-        recoverModel(cfg, "GHM", makePlain, ghmPlain, kNoExtras));
-
-    // Study: the timekeeping workload, @expires-guarded.
-    add("Study", true,
-        recoverModel(
-            cfg, "Study", makeTics,
-            [](board::Board &b, tics::TicsRuntime &rt) {
-                return std::make_unique<apps::study::TimekeepTics>(
-                    b, rt, 40 * kNsPerMs);
-            },
-            kTicsExtras));
-
-    // SensorRelay self-test: guarded twin must verify clean, the
-    // unguarded twin must earn timeliness + io findings.
-    add("Relay+guard", true,
-        recoverModel(
-            cfg, "Relay+guard", makeTics,
-            [](board::Board &b, tics::TicsRuntime &rt) {
-                SensorRelayOptions o;
-                return std::make_unique<SensorRelayApp>(b, rt, o);
-            },
-            kTicsExtras));
-    add("Relay-unguard", true,
-        recoverModel(
-            cfg, "Relay-unguard", makeTics,
-            [](board::Board &b, tics::TicsRuntime &rt) {
-                SensorRelayOptions o;
-                o.checkFreshness = false;
-                o.useVirtualRadio = false;
-                return std::make_unique<SensorRelayApp>(b, rt, o);
-            },
-            kTicsExtras));
-
+    }
     return out;
 }
 

@@ -19,11 +19,13 @@
 #ifndef TICSIM_VERIFY_VERIFIER_HPP
 #define TICSIM_VERIFY_VERIFIER_HPP
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "analysis/checker.hpp"
 #include "apps/ar/ar_common.hpp"
+#include "harness/scenario.hpp"
 #include "support/table.hpp"
 #include "verify/analyses.hpp"
 #include "verify/model.hpp"
@@ -93,6 +95,32 @@ struct AppVerdict {
         return n;
     }
 };
+
+/**
+ * One failure-free calibration run of catalog row @p s under a
+ * continuous supply: the recorded program model with its WAR ranges
+ * and, read off the built runtime, the TICS segment size and the task
+ * graph. @p record adds the run to the bench report as
+ * "<app>/calibration".
+ */
+ProgramModel calibrateModel(const harness::Scenario &s,
+                            const harness::ScenarioParams &params,
+                            std::uint64_t seed, TimeNs budget,
+                            bool record);
+
+/**
+ * The SensorRelay twins (verify/demo_app.hpp) as catalog-shaped rows,
+ * both under TICS: "Relay+guard", then "Relay-unguard". They are not
+ * in the harness catalog because the app sits above harness.
+ */
+std::span<const harness::Scenario> relayScenarios();
+
+/**
+ * The verifier's rows in report order: the consistency matrix, every
+ * other catalog app under TICS and plain C, then the SensorRelay
+ * twins.
+ */
+std::vector<const harness::Scenario *> verifierScenarios();
 
 /** The deployment budget the config describes. */
 EnergyBudget deploymentBudget(const VerifyConfig &cfg,

@@ -65,7 +65,7 @@ struct RunTrace {
 };
 
 RunTrace
-traceOf(board::Board &board, const fault::PairEnv &env,
+traceOf(board::Board &board, const harness::ScenarioInstance &env,
         const board::RunResult &res)
 {
     RunTrace t;
@@ -239,7 +239,7 @@ TEST(SnapshotRoundTrip, ResumeAtStoreKMatchesFromScratchOnEveryPair)
             board::Board board(
                 bcfg, std::make_unique<energy::ContinuousSupply>(),
                 std::make_unique<timekeeper::PerfectTimekeeper>());
-            fault::PairEnv env = spec.make(board);
+            harness::ScenarioInstance env = spec.make(board);
             board.beginRun(*env.runtime, env.entry, cfg.budget);
             base = traceOf(board, env, board.continueRun());
             ASSERT_TRUE(base.res.completed);
@@ -255,7 +255,7 @@ TEST(SnapshotRoundTrip, ResumeAtStoreKMatchesFromScratchOnEveryPair)
         SnapAtEvent sink(board, 2);
         mem::ScopedAccessSink as(&sink);
         mem::ScopedStoreGate sg(&sink);
-        fault::PairEnv env = spec.make(board);
+        harness::ScenarioInstance env = spec.make(board);
         mem::WriteJournal journal;
         mem::ScopedWriteJournal sj(&journal);
 
@@ -285,7 +285,7 @@ TEST(SnapshotRoundTrip, RepeatedRestoreFromOneSnapshotIsIdempotent)
     SnapAtEvent sink(board, 3);
     mem::ScopedAccessSink as(&sink);
     mem::ScopedStoreGate sg(&sink);
-    fault::PairEnv env = spec.make(board);
+    harness::ScenarioInstance env = spec.make(board);
     mem::WriteJournal journal;
     mem::ScopedWriteJournal sj(&journal);
 
@@ -553,7 +553,7 @@ TEST(BoundReference, MatchesCaptureAfterFaultPlansOnEveryPair)
             fault::FaultInjector inj(board, *sup, plan, false);
             mem::ScopedAccessSink as(&inj);
             mem::ScopedStoreGate sg(&inj);
-            fault::PairEnv env = spec.make(board);
+            harness::ScenarioInstance env = spec.make(board);
             board.beginRun(*env.runtime, env.entry, cfg.budget);
             const analysis::BoundReference bound =
                 analysis::ReplayOracle::bind(ref.snap, board.nvram(), filter);
@@ -593,7 +593,7 @@ TEST(BoundReference, OneBindingSurvivesRestoresOnEveryPair)
         SnapEveryEvent sink(board);
         mem::ScopedAccessSink as(&sink);
         mem::ScopedStoreGate sg(&sink);
-        fault::PairEnv env = spec.make(board);
+        harness::ScenarioInstance env = spec.make(board);
         mem::WriteJournal journal;
         mem::ScopedWriteJournal sj(&journal);
         board.beginRun(*env.runtime, env.entry, cfg.budget);
