@@ -39,7 +39,6 @@
 #include "harness/report.hpp"
 #include "mem/nv.hpp"
 #include "mem/nvram.hpp"
-#include "mem/store_gate.hpp"
 #include "mem/trace.hpp"
 #include "perf/counters.hpp"
 #include "perf/host_profiler.hpp"
@@ -110,7 +109,7 @@ class CountingSink final : public mem::AccessSink
 };
 
 /** Pass-through gate: models the dispatch cost, not a tear. */
-class PassGate final : public mem::StoreGate
+class PassGate final : public mem::AccessSink
 {
   public:
     void store(mem::StoreSite, void *dst, const void *src,
@@ -138,7 +137,7 @@ runMicrobenches(bool quick)
         mem::NvRam ram;
         mem::nv<std::uint64_t> x(ram, "perf.x");
         PassGate gate;
-        mem::ScopedGate g(&gate);
+        mem::ScopedSink g(&gate);
         const double t0 = nowMs();
         for (std::uint64_t i = 0; i < big; ++i)
             x = i;

@@ -2,16 +2,6 @@
 
 namespace ticsim::analysis {
 
-AccessTracer::AccessTracer(board::Board &board)
-    : board_(board), prev_(mem::setAccessSink(this))
-{
-}
-
-AccessTracer::~AccessTracer()
-{
-    mem::setAccessSink(prev_);
-}
-
 void
 AccessTracer::recordData(AccessKind kind, const void *p,
                          std::uint32_t bytes)

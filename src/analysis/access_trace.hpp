@@ -58,9 +58,9 @@ struct IntervalTrace {
 
 /**
  * Records intervals for one traced Board::run. Installs itself as the
- * process-wide access sink on construction and restores the previous
- * sink on destruction; call finalize() after Board::run returns to
- * close the trailing interval.
+ * calling thread's access sink on construction and restores the
+ * previous sink on destruction; call finalize() after Board::run
+ * returns to close the trailing interval.
  *
  * Filtering: reads and writes are only recorded while application code
  * is executing inside the board's context and only when they land in
@@ -73,8 +73,7 @@ struct IntervalTrace {
 class AccessTracer final : public mem::AccessSink
 {
   public:
-    explicit AccessTracer(board::Board &board);
-    ~AccessTracer() override;
+    explicit AccessTracer(board::Board &board) : board_(board) {}
 
     AccessTracer(const AccessTracer &) = delete;
     AccessTracer &operator=(const AccessTracer &) = delete;
@@ -106,7 +105,6 @@ class AccessTracer final : public mem::AccessSink
     void closeInterval(IntervalEnd end);
 
     board::Board &board_;
-    mem::AccessSink *prev_;
     std::vector<IntervalTrace> intervals_;
     IntervalTrace open_;
     std::uint64_t boots_ = 0;
@@ -114,6 +112,9 @@ class AccessTracer final : public mem::AccessSink
     std::uint64_t writeBytes_ = 0;
     std::uint64_t versionedBytes_ = 0;
     bool finalized_ = false;
+    /** Declared last: installed after every other member is built,
+     *  removed before any is destroyed. */
+    mem::ScopedSink installed_{this};
 };
 
 } // namespace ticsim::analysis

@@ -20,13 +20,6 @@ Runtime::attach(Board &board, std::function<void()> appMain)
     appMain_ = std::move(appMain);
 }
 
-void
-Runtime::storeBytes(void *dst, const void *src, std::uint32_t bytes)
-{
-    mem::traceWrite(dst, bytes);
-    mem::gatedStore(mem::StoreSite::AppGlobal, dst, src, bytes);
-}
-
 Board::Board(BoardConfig cfg, std::unique_ptr<energy::Supply> supply,
              std::unique_ptr<timekeeper::Timekeeper> tk)
     : cfg_(cfg), nvram_(cfg.nvramBytes), mcu_(cfg.costs),

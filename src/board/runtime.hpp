@@ -15,7 +15,6 @@
 #define TICSIM_BOARD_RUNTIME_HPP
 
 #include <cstdint>
-#include <cstring>
 #include <functional>
 
 #include "mem/footprint.hpp"
@@ -72,11 +71,15 @@ class Runtime
     virtual void checkpointNow() {}
 
     /**
-     * Instrumented raw store of @p bytes from @p src to @p dst —
-     * the pointer-write path of the paper. Default: direct store.
+     * Instrumented raw store of @p bytes from @p src to @p dst — the
+     * pointer-write path of the paper. It is mem::appStore, so the
+     * running runtime versions it through its write barrier.
      */
-    virtual void storeBytes(void *dst, const void *src,
-                            std::uint32_t bytes);
+    void
+    storeBytes(void *dst, const void *src, std::uint32_t bytes)
+    {
+        mem::appStore(dst, src, bytes);
+    }
 
     /** Typed convenience wrapper over storeBytes(). */
     template <typename T>
@@ -97,8 +100,7 @@ class Runtime
     void
     loadBytes(void *dst, const void *src, std::uint32_t bytes)
     {
-        mem::traceRead(src, bytes);
-        std::memcpy(dst, src, bytes);
+        mem::appLoad(dst, src, bytes);
     }
 
     /** Typed convenience wrapper over loadBytes(). */

@@ -226,8 +226,7 @@ runPairWithPlan(const CampaignConfig &cfg, const PairSpec &spec,
     board::Board board(bcfg, std::move(supply),
                        std::make_unique<timekeeper::PerfectTimekeeper>());
     FaultInjector inj(board, *sup, plan, observe);
-    mem::ScopedAccessSink sink(&inj);
-    mem::ScopedStoreGate gate(&inj);
+    mem::ScopedSink sink(&inj);
 
     PairRunOutcome out;
     {

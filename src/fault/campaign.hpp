@@ -136,9 +136,9 @@ Classification classifyOutcome(const PairRunOutcome &ref,
 /**
  * One subject (or reference) execution: fresh board, fresh runtime and
  * app from the pair's catalog row, a FaultedSupply over a continuous
- * inner supply, and the injector installed as access sink + store gate
- * for the whole run. The row rebuilds identical objects each time, so
- * arena layouts match and the replay diff is byte-meaningful.
+ * inner supply, and the injector installed as the access sink for the
+ * whole run. The row rebuilds identical objects each time, so arena
+ * layouts match and the replay diff is byte-meaningful.
  */
 PairRunOutcome runPairWithPlan(const CampaignConfig &cfg,
                                const PairSpec &spec, const FaultPlan &plan,

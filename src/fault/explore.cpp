@@ -46,10 +46,10 @@ using Frame = std::vector<Decision>;
  * Recording-pass sink: counts events exactly like FaultInjector (same
  * started_ gating, construction stores excluded) and, while a frame is
  * armed, records a Decision with a light snapshot per countable event.
- * Also the gate that executes gated stores during exploration — with
- * journaling, so restore() can roll them back.
+ * Its store() lands gated stores during exploration — with journaling,
+ * so restore() can roll them back.
  */
-class ExploreSink : public mem::AccessSink, public mem::StoreGate
+class ExploreSink : public mem::AccessSink
 {
   public:
     explicit ExploreSink(board::Board &board) : board_(board) {}
@@ -61,10 +61,6 @@ class ExploreSink : public mem::AccessSink, public mem::StoreGate
     void setCensus(const EventCensus &c) { census_ = c; }
 
     // AccessSink
-    void memRead(const void *, std::uint32_t) override {}
-    void memWrite(const void *, std::uint32_t) override {}
-    void memVersioned(const void *, std::uint32_t) override {}
-
     void
     powerOn() override
     {
@@ -77,25 +73,10 @@ class ExploreSink : public mem::AccessSink, public mem::StoreGate
     void
     sideEvent(const mem::SideEvent &ev) override
     {
-        switch (ev.kind) {
-          case mem::SideEventKind::CkptCommitStart:
-            note(Boundary::CommitStart);
-            break;
-          case mem::SideEventKind::BootRestore:
-            note(Boundary::BootRestore);
-            break;
-          case mem::SideEventKind::PeripheralSend:
-            note(Boundary::PeripheralSend);
-            break;
-          case mem::SideEventKind::TimeRead:
-            note(Boundary::TimeRead);
-            break;
-          default:
-            break;
-        }
+        if (const auto b = boundaryOf(ev.kind))
+            note(*b);
     }
 
-    // StoreGate
     void
     store(mem::StoreSite site, void *dst, const void *src,
           std::uint32_t bytes) override
@@ -285,8 +266,7 @@ class ShardWalker
         board_ = &board;
         ExploreSink sink(board);
         sink_ = &sink;
-        mem::ScopedAccessSink as(&sink);
-        mem::ScopedStoreGate sg(&sink);
+        mem::ScopedSink as(&sink);
         harness::ScenarioInstance env = spec_.make(board);
         env_ = &env;
         mem::WriteJournal journal;
@@ -415,7 +395,7 @@ class ShardWalker
  * memcpy, now under the evaluation's injector — and returns to the
  * runtime as if the recording run had never stopped.
  */
-class ShrinkRecorder : public mem::AccessSink, public mem::StoreGate
+class ShrinkRecorder : public mem::AccessSink
 {
   public:
     ShrinkRecorder(board::Board &board, const FaultPlan &target)
@@ -455,10 +435,6 @@ class ShrinkRecorder : public mem::AccessSink, public mem::StoreGate
     }
 
     // AccessSink
-    void memRead(const void *, std::uint32_t) override {}
-    void memWrite(const void *, std::uint32_t) override {}
-    void memVersioned(const void *, std::uint32_t) override {}
-
     void
     powerOn() override
     {
@@ -477,25 +453,10 @@ class ShrinkRecorder : public mem::AccessSink, public mem::StoreGate
     void
     sideEvent(const mem::SideEvent &ev) override
     {
-        switch (ev.kind) {
-          case mem::SideEventKind::CkptCommitStart:
-            count(Boundary::CommitStart);
-            break;
-          case mem::SideEventKind::BootRestore:
-            count(Boundary::BootRestore);
-            break;
-          case mem::SideEventKind::PeripheralSend:
-            count(Boundary::PeripheralSend);
-            break;
-          case mem::SideEventKind::TimeRead:
-            count(Boundary::TimeRead);
-            break;
-          default:
-            break;
-        }
+        if (const auto b = boundaryOf(ev.kind))
+            count(*b);
     }
 
-    // StoreGate
     void
     store(mem::StoreSite site, void *dst, const void *src,
           std::uint32_t bytes) override
@@ -732,8 +693,7 @@ forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
     board::Board board(bcfg, std::move(supply),
                        std::make_unique<timekeeper::PerfectTimekeeper>());
     ShrinkRecorder rec(board, original);
-    mem::ScopedAccessSink as(&rec);
-    mem::ScopedStoreGate sg(&rec);
+    mem::ScopedSink as(&rec);
     harness::ScenarioInstance env = spec.make(board);
     mem::WriteJournal journal;
     mem::ScopedWriteJournal sj(&journal);
@@ -766,8 +726,7 @@ forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
         std::sort(abs.begin(), abs.end());
         sup->scheduleAbsolute(std::move(abs));
         const Cycles before = board.mcu().cycles();
-        mem::ScopedAccessSink evalSink(&inj);
-        mem::ScopedStoreGate evalGate(&inj);
+        mem::ScopedSink evalSink(&inj);
         const board::RunResult res = board.continueRun();
         probe.cls = judgeLeaf(oracle, env, res);
         probe.firedCuts = sup->firedAt(); // restore rolled these back

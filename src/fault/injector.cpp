@@ -233,22 +233,8 @@ FaultInjector::commit()
 void
 FaultInjector::sideEvent(const mem::SideEvent &ev)
 {
-    switch (ev.kind) {
-      case mem::SideEventKind::CkptCommitStart:
-        note(Boundary::CommitStart);
-        break;
-      case mem::SideEventKind::BootRestore:
-        note(Boundary::BootRestore);
-        break;
-      case mem::SideEventKind::PeripheralSend:
-        note(Boundary::PeripheralSend);
-        break;
-      case mem::SideEventKind::TimeRead:
-        note(Boundary::TimeRead);
-        break;
-      default:
-        break;
-    }
+    if (const auto b = boundaryOf(ev.kind))
+        note(*b);
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
  * Fault execution machinery: a Supply decorator that fires scheduled
- * power cuts, and a combined AccessSink + StoreGate that counts
- * boundary events, arms boundary-anchored cuts, tears gated NV stores,
- * and flips retention bits between charge windows.
+ * power cuts, and an AccessSink that counts boundary events, arms
+ * boundary-anchored cuts, tears gated NV stores, and flips retention
+ * bits between charge windows.
  *
  * The same FaultInjector runs in two modes. In observe mode it only
  * counts — the campaign's reference run uses this to learn how many
@@ -22,7 +22,6 @@
 #include "board/board.hpp"
 #include "energy/supply.hpp"
 #include "fault/plan.hpp"
-#include "mem/store_gate.hpp"
 #include "mem/trace.hpp"
 
 namespace ticsim::fault {
@@ -133,11 +132,11 @@ struct InjectorState {
 };
 
 /**
- * The in-run fault executor. Install as both the access sink and the
- * store gate (ScopedAccessSink + ScopedStoreGate) around one
- * Board::run.
+ * The in-run fault executor. Install as the access sink (ScopedSink)
+ * around one Board::run; its store() lands, counts and tears every
+ * gated store.
  */
-class FaultInjector : public mem::AccessSink, public mem::StoreGate
+class FaultInjector : public mem::AccessSink
 {
   public:
     /**
@@ -149,14 +148,9 @@ class FaultInjector : public mem::AccessSink, public mem::StoreGate
                   const FaultPlan &plan, bool observeOnly);
 
     // AccessSink
-    void memRead(const void *, std::uint32_t) override {}
-    void memWrite(const void *, std::uint32_t) override {}
-    void memVersioned(const void *, std::uint32_t) override {}
     void powerOn() override;
     void commit() override;
     void sideEvent(const mem::SideEvent &ev) override;
-
-    // StoreGate
     void store(mem::StoreSite site, void *dst, const void *src,
                std::uint32_t bytes) override;
 

@@ -1,6 +1,7 @@
 #include "plan.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -13,6 +14,11 @@ const char *const kBoundaryNames[kBoundaryCount] = {
 };
 
 const char *const kTearModeNames[3] = {"prefix", "garbage", "interleave"};
+
+/** Largest plan time (absolute cut, delay, off window): below 2^62 ns,
+ *  the bound EnvTrace::parse uses, so the simulator's now + delay and
+ *  now + off cannot wrap. */
+constexpr std::uint64_t kMaxPlanNs = (std::uint64_t{1} << 62) - 1;
 
 std::vector<std::string>
 split(const std::string &s, char sep)
@@ -31,8 +37,11 @@ split(const std::string &s, char sep)
     return out;
 }
 
+/** Parse a plan number no larger than @p max; out of range is an
+ *  error, never a clamp or a truncation. */
 bool
-parseU64(const std::string &s, std::uint64_t &out, int base = 10)
+parseU64(const std::string &s, std::uint64_t &out,
+         std::uint64_t max = UINT64_MAX, int base = 10)
 {
     if (s.empty())
         return false;
@@ -42,8 +51,9 @@ parseU64(const std::string &s, std::uint64_t &out, int base = 10)
     if (base == 16 ? !std::isxdigit(first) : !std::isdigit(first))
         return false;
     char *end = nullptr;
+    errno = 0;
     const unsigned long long v = std::strtoull(s.c_str(), &end, base);
-    if (end != s.c_str() + s.size())
+    if (end != s.c_str() + s.size() || errno == ERANGE || v > max)
         return false;
     out = static_cast<std::uint64_t>(v);
     return true;
@@ -68,7 +78,7 @@ parseCut(const std::string &body, PowerCut &c, std::string *err)
     const std::string rest = body.substr(colon + 1);
     if (anchor == "t") {
         std::uint64_t at = 0;
-        if (!parseU64(rest, at))
+        if (!parseU64(rest, at, kMaxPlanNs))
             return fail(err, "cut: bad absolute time \"" + rest + "\"");
         c.absolute = true;
         c.atNs = static_cast<TimeNs>(at);
@@ -85,7 +95,7 @@ parseCut(const std::string &body, PowerCut &c, std::string *err)
     c.delayNs = 0;
     if (plus != std::string::npos) {
         std::uint64_t d = 0;
-        if (!parseU64(rest.substr(plus + 1), d))
+        if (!parseU64(rest.substr(plus + 1), d, kMaxPlanNs))
             return fail(err, "cut: bad delay in \"" + rest + "\"");
         c.delayNs = static_cast<TimeNs>(d);
     }
@@ -124,7 +134,7 @@ parseTear(const std::string &body, TornWrite &t, std::string *err)
         return fail(err, "tear: unknown mode \"" +
                              parts[1].substr(0, c2) + "\"");
     std::uint64_t keep = 0;
-    if (!parseU64(parts[1].substr(c2 + 1), keep))
+    if (!parseU64(parts[1].substr(c2 + 1), keep, UINT32_MAX))
         return fail(err, "tear: bad keepBytes in \"" + body + "\"");
     t.keepBytes = static_cast<std::uint32_t>(keep);
     return true;
@@ -151,7 +161,7 @@ parseFlip(const std::string &body, BitFlip &f, std::string *err)
     if (f.region.empty())
         return fail(err, "flip: empty region in \"" + body + "\"");
     std::uint64_t off = 0, mask = 0;
-    if (!parseU64(rest.substr(plus + 1, amp - plus - 1), off))
+    if (!parseU64(rest.substr(plus + 1, amp - plus - 1), off, UINT32_MAX))
         return fail(err, "flip: bad offset in \"" + body + "\"");
     std::string maskStr = rest.substr(amp + 1);
     int base = 10;
@@ -159,7 +169,7 @@ parseFlip(const std::string &body, BitFlip &f, std::string *err)
         maskStr = maskStr.substr(2);
         base = 16;
     }
-    if (!parseU64(maskStr, mask, base) || mask == 0 || mask > 0xFF)
+    if (!parseU64(maskStr, mask, 0xFF, base) || mask == 0)
         return fail(err, "flip: bad mask in \"" + body + "\"");
     f.offset = static_cast<std::uint32_t>(off);
     f.mask = static_cast<std::uint8_t>(mask);
@@ -184,6 +194,23 @@ parseBoundary(const std::string &s, Boundary &out)
         }
     }
     return false;
+}
+
+std::optional<Boundary>
+boundaryOf(mem::SideEventKind k)
+{
+    switch (k) {
+      case mem::SideEventKind::CkptCommitStart:
+        return Boundary::CommitStart;
+      case mem::SideEventKind::BootRestore:
+        return Boundary::BootRestore;
+      case mem::SideEventKind::PeripheralSend:
+        return Boundary::PeripheralSend;
+      case mem::SideEventKind::TimeRead:
+        return Boundary::TimeRead;
+      default:
+        return std::nullopt;
+    }
 }
 
 const char *
@@ -259,7 +286,7 @@ FaultPlan::parse(const std::string &s, FaultPlan &out, std::string *err)
             continue;
         if (atom.rfind("off:", 0) == 0) {
             std::uint64_t off = 0;
-            if (!parseU64(atom.substr(4), off))
+            if (!parseU64(atom.substr(4), off, kMaxPlanNs))
                 return fail(err, "bad off time \"" + atom + "\"");
             p.offNs = static_cast<TimeNs>(off);
             continue;

@@ -29,10 +29,11 @@
 #define TICSIM_FAULT_PLAN_HPP
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "mem/store_gate.hpp"
+#include "mem/trace.hpp"
 #include "support/units.hpp"
 
 namespace ticsim::fault {
@@ -55,6 +56,10 @@ const char *boundaryName(Boundary b);
 
 /** Inverse of boundaryName(); false when @p s names no boundary. */
 bool parseBoundary(const std::string &s, Boundary &out);
+
+/** The boundary a sink's side event marks, if any: commit start, boot
+ *  restore, peripheral send or time read. */
+std::optional<Boundary> boundaryOf(mem::SideEventKind k);
 
 /** One power cut: absolute, or delayNs after boundary occurrence N. */
 struct PowerCut {
@@ -117,8 +122,10 @@ struct FaultPlan {
 
     /**
      * Parse a plan string produced by format() (or hand-written).
-     * @return false (with *err set when non-null) on malformed input;
-     *         @p out is untouched on failure.
+     * @return false (with *err set when non-null) on malformed input,
+     *         including out-of-range numbers (times of 2^62 ns or
+     *         more, offsets or keepBytes above 2^32 - 1); @p out is
+     *         untouched on failure.
      */
     static bool parse(const std::string &s, FaultPlan &out,
                       std::string *err = nullptr);

@@ -6,18 +6,6 @@
 
 namespace ticsim::mem {
 
-namespace detail {
-constinit thread_local WriteJournal *g_journal = nullptr;
-} // namespace detail
-
-WriteJournal *
-setWriteJournal(WriteJournal *j)
-{
-    WriteJournal *prev = detail::g_journal;
-    detail::g_journal = j;
-    return prev;
-}
-
 void
 WriteJournal::note(const void *dst, std::size_t bytes)
 {

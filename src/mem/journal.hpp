@@ -12,13 +12,12 @@
  * truncate. Per-decision cost is proportional to bytes written since
  * the mark, not to arena size.
  *
- * Installation mirrors mem::AccessSink (trace.hpp): a thread-local
- * slot, a null check on the default path, and an RAII scope. When no
- * journal is installed — every normal benchmark / test run — each
- * journalNote() is a single null-pointer test; the gatedStore
- * null-gate fast path is untouched because gated stores are journaled
- * from inside the explorer's own StoreGate, not from gatedStore
- * itself.
+ * The journal is the third slot of the NV port (trace.hpp), installed
+ * with ScopedWriteJournal. When no journal is installed — every normal
+ * benchmark / test run — each journalNote() is a single null-pointer
+ * test; the gatedStore fast path is untouched because gated stores
+ * are journaled inside the explorer's own sinks' store(), not by
+ * gatedStore itself.
  *
  * Coverage contract: every modeled-NV mutation that does not go
  * through gatedStore must call journalNote(dst, bytes) immediately
@@ -37,6 +36,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "mem/trace.hpp"
 
 namespace ticsim::mem {
 
@@ -74,30 +75,13 @@ class WriteJournal
     std::vector<std::uint8_t> pool_;
 };
 
-namespace detail {
-/** Thread-local like the trace sink: one journal per simulated Board,
- *  and sweep workers on other threads never see it. */
-extern constinit thread_local WriteJournal *g_journal;
-} // namespace detail
-
-/** Install @p j as the calling thread's journal; returns the previous
- *  one (may be null). Pass nullptr to disable journaling. */
-WriteJournal *setWriteJournal(WriteJournal *j);
-
-/** Currently installed journal, or nullptr. */
-inline WriteJournal *
-writeJournal()
-{
-    return detail::g_journal;
-}
-
 /** Record a pre-image if a journal is installed; a null test
  *  otherwise. Call immediately before any raw modeled-NV write. */
 inline void
 journalNote(const void *dst, std::size_t bytes)
 {
-    if (detail::g_journal)
-        detail::g_journal->note(dst, bytes);
+    if (detail::g_port.journal)
+        detail::g_port.journal->note(dst, bytes);
 }
 
 /** Mark of the installed journal (0 when none): board::Snapshot pairs
@@ -105,33 +89,16 @@ journalNote(const void *dst, std::size_t bytes)
 inline std::size_t
 journalMark()
 {
-    return detail::g_journal ? detail::g_journal->mark() : 0;
+    return detail::g_port.journal ? detail::g_port.journal->mark() : 0;
 }
 
 /** Roll the installed journal (if any) back to @p m. */
 inline void
 journalUndoTo(std::size_t m)
 {
-    if (detail::g_journal)
-        detail::g_journal->undoTo(m);
+    if (detail::g_port.journal)
+        detail::g_port.journal->undoTo(m);
 }
-
-/** RAII journal installation for the scope of one explored run. */
-class ScopedWriteJournal
-{
-  public:
-    explicit ScopedWriteJournal(WriteJournal *j)
-        : prev_(setWriteJournal(j))
-    {
-    }
-    ~ScopedWriteJournal() { setWriteJournal(prev_); }
-
-    ScopedWriteJournal(const ScopedWriteJournal &) = delete;
-    ScopedWriteJournal &operator=(const ScopedWriteJournal &) = delete;
-
-  private:
-    WriteJournal *prev_;
-};
 
 } // namespace ticsim::mem
 

@@ -1,13 +1,15 @@
 /**
  * @file
- * Typed accessors for non-volatile application globals, and the write
- * interception hook through which the active runtime versions memory.
+ * Typed accessors for non-volatile application globals, and the one
+ * application store and load they share with Runtime::storeBytes and
+ * Runtime::loadBytes.
  *
  * On the real platform, TICS's source-instrumentation pass rewrites
  * every store to .data/.bss (and every pointer store) into a call into
  * the memory manager. Here the same surface is expressed in the type
- * system: application globals are nv<T>, and assignments route through
- * the installed MemHooks before the byte is changed, so an undo log can
+ * system: application globals are nv<T>, and every assignment is one
+ * mem::appStore, which runs the running runtime's write barrier on the
+ * NV port (trace.hpp) before the bytes change, so an undo log can
  * capture the old value.
  */
 
@@ -18,16 +20,15 @@
 #include <type_traits>
 
 #include "mem/nvram.hpp"
-#include "mem/store_gate.hpp"
 #include "mem/trace.hpp"
 #include "support/logging.hpp"
 
 namespace ticsim::mem {
 
 /**
- * Write/read interception installed by the Board while application
- * code runs. The default instance performs no versioning (plain-C
- * semantics: FRAM writes land directly and persist).
+ * A runtime's write barrier: the port's barrier slot, installed by the
+ * Board while application code runs. With none installed, stores land
+ * directly and persist (plain-C semantics).
  */
 class MemHooks
 {
@@ -35,41 +36,44 @@ class MemHooks
     virtual ~MemHooks() = default;
 
     /**
-     * Called before @p bytes at @p hostAddr are overwritten. The
-     * runtime may undo-log the old contents, charge cycles, or force a
-     * checkpoint.
+     * Called before an application store overwrites @p bytes at
+     * @p hostAddr. The runtime may undo-log the old contents, charge
+     * cycles, or force a checkpoint.
      */
-    virtual void preWrite(void *hostAddr, std::uint32_t bytes) {}
-
-    /** Called before @p bytes at @p hostAddr are read. */
-    virtual void preRead(const void *hostAddr, std::uint32_t bytes) {}
-};
-
-/** The calling thread's installed hooks (never null; defaults to a
- *  shared stateless pass-through). */
-MemHooks &hooks();
-
-/** Install hooks on the calling thread; returns the previous set. */
-MemHooks *setHooks(MemHooks *h);
-
-/** RAII hook installation for Board::run scopes. */
-class ScopedHooks
-{
-  public:
-    explicit ScopedHooks(MemHooks *h) : prev_(setHooks(h)) {}
-    ~ScopedHooks() { setHooks(prev_); }
-
-    ScopedHooks(const ScopedHooks &) = delete;
-    ScopedHooks &operator=(const ScopedHooks &) = delete;
-
-  private:
-    MemHooks *prev_;
+    virtual void preWrite(void *hostAddr, std::uint32_t bytes) = 0;
 };
 
 /**
- * A T stored in the simulated FRAM arena. All mutation goes through
- * the installed MemHooks. Trivially-copyable T only (this is firmware
- * state, not a general container).
+ * The one application store: the installed barrier runs first, while
+ * the old bytes are still in place; then the sink sees the write; then
+ * the store lands through the sink's store() or as a plain copy.
+ */
+inline void
+appStore(void *dst, const void *src, std::uint32_t bytes)
+{
+    if (detail::g_port.barrier) {
+        ++perf::hot().hookDispatches;
+        detail::g_port.barrier->preWrite(dst, bytes);
+    } else {
+        ++perf::hot().hookFastNull;
+    }
+    traceWrite(dst, bytes);
+    gatedStore(StoreSite::AppGlobal, dst, src, bytes);
+}
+
+/** The one application load: the sink sees the read, then the bytes
+ *  are copied. Reads need no versioning on any modeled system. */
+inline void
+appLoad(void *dst, const void *src, std::uint32_t bytes)
+{
+    traceRead(src, bytes);
+    std::memcpy(dst, src, bytes);
+}
+
+/**
+ * A T stored in the simulated FRAM arena. All access goes through
+ * appStore/appLoad. Trivially-copyable T only (this is firmware state,
+ * not a general container).
  */
 template <typename T>
 class nv
@@ -102,22 +106,17 @@ class nv
     /** Instrumented read. */
     operator T() const
     {
-        hooks().preRead(slot_, kBytes);
-        traceRead(slot_, kBytes);
         T v;
-        std::memcpy(&v, slot_, sizeof(T));
+        appLoad(&v, slot_, kBytes);
         return v;
     }
 
     T get() const { return static_cast<T>(*this); }
 
-    /** Instrumented write. The trace event follows preWrite so that a
-     *  runtime's versioning is visible to the sink before the write. */
+    /** Instrumented write. */
     nv &operator=(const T &v)
     {
-        hooks().preWrite(slot_, kBytes);
-        traceWrite(slot_, kBytes);
-        gatedStore(StoreSite::AppGlobal, slot_, &v, kBytes);
+        appStore(slot_, &v, kBytes);
         return *this;
     }
 
@@ -167,17 +166,15 @@ class nvArray
     T get(std::uint32_t i) const
     {
         TICSIM_ASSERT(i < N, "index %u", i);
-        hooks().preRead(slots_ + i, kElemBytes);
-        traceRead(slots_ + i, kElemBytes);
-        return slots_[i];
+        T v;
+        appLoad(&v, slots_ + i, kElemBytes);
+        return v;
     }
 
     void set(std::uint32_t i, const T &v)
     {
         TICSIM_ASSERT(i < N, "index %u", i);
-        hooks().preWrite(slots_ + i, kElemBytes);
-        traceWrite(slots_ + i, kElemBytes);
-        gatedStore(StoreSite::AppGlobal, slots_ + i, &v, kElemBytes);
+        appStore(slots_ + i, &v, kElemBytes);
     }
 
     T *raw() { return slots_; }

@@ -3,15 +3,29 @@
 namespace ticsim::mem {
 
 namespace detail {
-constinit thread_local AccessSink *g_sink = nullptr;
+
+constinit thread_local Port g_port;
+
+Port &
+port()
+{
+    return g_port;
+}
+
 } // namespace detail
 
-AccessSink *
-setAccessSink(AccessSink *s)
+const char *
+storeSiteName(StoreSite s)
 {
-    AccessSink *prev = detail::g_sink;
-    detail::g_sink = s;
-    return prev;
+    switch (s) {
+      case StoreSite::AppGlobal:
+        return "store";
+      case StoreSite::UndoPool:
+        return "undo-store";
+      case StoreSite::CkptHeader:
+        return "hdr-store";
+    }
+    return "?";
 }
 
 } // namespace ticsim::mem

@@ -5,11 +5,11 @@
  * The simulator attributes every *simulated* MCU cycle (PhaseProfiler)
  * but was blind to its own *host* cost. These counters instrument the
  * paths the ROADMAP names as hot — nv<T>/NvRam loads and stores, the
- * AccessSink/StoreGate/MemHooks dispatch points (hook-installed vs
- * fast-path-null), undo-log records, checkpoint image traffic,
- * EventRing pushes and JobPool scheduling — so `bench/ticsperf` can
- * report where host work actually goes and `tools/perf_diff.py` can
- * flag when a change moves NV traffic or dispatch mix.
+ * NV port's dispatch points (slot installed vs fast-path null),
+ * undo-log records, checkpoint image traffic, EventRing pushes and
+ * JobPool scheduling — so `bench/ticsperf` can report where host work
+ * actually goes and `tools/perf_diff.py` can flag when a change moves
+ * NV traffic or dispatch mix.
  *
  * Design constraints, in priority order:
  *
@@ -55,13 +55,17 @@ struct HotCounters {
     std::uint64_t nvVersioned = 0;   ///< versioning notifications
     std::uint64_t nvVersionedBytes = 0;
 
-    // ---- dispatch-point splits: hook installed vs fast-path null ----
+    // ---- NV port dispatch splits: slot installed vs fast-path null ----
+    // The gate and hook names predate the port: gate* counts gated
+    // stores landed by an installed sink's store() (any sink), and
+    // hook* counts application stores with and without a write
+    // barrier; reads pass no barrier.
     std::uint64_t sinkDispatches = 0; ///< AccessSink calls delivered
     std::uint64_t sinkFastNull = 0;   ///< trace calls with no sink
-    std::uint64_t gateDispatches = 0; ///< StoreGate::store calls
-    std::uint64_t gateFastNull = 0;   ///< gatedStore direct memcpys
-    std::uint64_t hookDispatches = 0; ///< MemHooks calls, runtime set
-    std::uint64_t hookFastNull = 0;   ///< MemHooks calls, pass-through
+    std::uint64_t gateDispatches = 0; ///< gated stores via sink store()
+    std::uint64_t gateFastNull = 0;   ///< gated stores, direct memcpy
+    std::uint64_t hookDispatches = 0; ///< app stores, barrier installed
+    std::uint64_t hookFastNull = 0;   ///< app stores, no barrier
 
     // ---- undo log ----
     std::uint64_t undoRecordsSealed = 0;

@@ -4,7 +4,6 @@
 
 #include <cstring>
 
-#include "mem/store_gate.hpp"
 #include "mem/trace.hpp"
 #include "support/logging.hpp"
 #include "telemetry/phase.hpp"
@@ -154,15 +153,6 @@ ChinchillaRuntime::preWrite(void *hostAddr, std::uint32_t bytes)
     versions_->append(hostAddr, bytes);
     epochLogged_[hostAddr] = bytes;
     ++stats_.counter("versionAppends");
-}
-
-void
-ChinchillaRuntime::storeBytes(void *dst, const void *src,
-                              std::uint32_t bytes)
-{
-    preWrite(dst, bytes);
-    mem::traceWrite(dst, bytes);
-    mem::gatedStore(mem::StoreSite::AppGlobal, dst, src, bytes);
 }
 
 } // namespace ticsim::runtimes

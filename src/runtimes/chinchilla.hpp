@@ -57,8 +57,6 @@ class ChinchillaRuntime : public board::Runtime, private mem::MemHooks
 
     void triggerPoint() override;
     void checkpointNow() override;
-    void storeBytes(void *dst, const void *src,
-                    std::uint32_t bytes) override;
 
     std::uint64_t checkpointsTotal() const { return ckpts_; }
 

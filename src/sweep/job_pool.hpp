@@ -4,9 +4,9 @@
  *
  * Sweep cells, fault-campaign schedules and cross-validation probes
  * are embarrassingly parallel: every job builds a fresh Board on its
- * own thread, and all formerly process-global simulator hooks (trace
- * sink, store gate, memory hooks, execution context, log clock) are
- * thread_local, so concurrent boards cannot observe each other. The
+ * own thread, and all formerly process-global simulator hooks (the NV
+ * port, execution context, log clock) are thread_local, so concurrent
+ * boards cannot observe each other. The
  * pool's only contract is that every index in [0, count) is executed
  * exactly once; callers that need deterministic output assemble
  * results by index after run() returns, never in completion order.

@@ -6,7 +6,7 @@
 
 #include "board/board.hpp"
 #include "mem/journal.hpp"
-#include "mem/store_gate.hpp"
+#include "mem/trace.hpp"
 #include "perf/counters.hpp"
 #include "perf/host_profiler.hpp"
 #include "support/crc32.hpp"

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
-#include "mem/store_gate.hpp"
+#include "mem/trace.hpp"
 #include "support/logging.hpp"
 #include "telemetry/phase.hpp"
 
@@ -324,14 +324,6 @@ TicsRuntime::preWrite(void *hostAddr, std::uint32_t bytes)
     epochLogged_[hostAddr] = bytes;
     ++stats_.counter("undoAppends");
     stats_.counter("undoBytes") += bytes;
-}
-
-void
-TicsRuntime::storeBytes(void *dst, const void *src, std::uint32_t bytes)
-{
-    preWrite(dst, bytes);
-    mem::traceWrite(dst, bytes);
-    mem::gatedStore(mem::StoreSite::AppGlobal, dst, src, bytes);
 }
 
 TimeNs

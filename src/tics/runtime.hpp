@@ -64,8 +64,6 @@ class TicsRuntime : public board::Runtime, private mem::MemHooks
     void frameExit() override;
     void triggerPoint() override;
     void checkpointNow() override;
-    void storeBytes(void *dst, const void *src,
-                    std::uint32_t bytes) override;
 
     // ---- services for the time-annotation layer ------------------------
 

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "mem/journal.hpp"
-#include "mem/store_gate.hpp"
 #include "mem/trace.hpp"
 #include "perf/counters.hpp"
 #include "support/crc32.hpp"

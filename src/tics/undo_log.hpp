@@ -12,7 +12,7 @@
  *
  * Every record carries a CRC-32 sealing its entry fields and saved
  * bytes, and the record stores themselves are gated NV stores (see
- * mem/store_gate.hpp): a record torn by a power failure mid-append or
+ * mem/trace.hpp): a record torn by a power failure mid-append or
  * corrupted by a retention bit flip fails validation at rollback and
  * is skipped (and counted) instead of spraying garbage over the
  * target. The entry-table bump that publishes a record is the last

@@ -23,15 +23,9 @@ ProgramModel::worstRegionCycles() const
     return worst;
 }
 
-ModelRecorder::ModelRecorder(board::Board &board)
-    : board_(board), prev_(mem::setAccessSink(this))
+ModelRecorder::ModelRecorder(board::Board &board) : board_(board)
 {
     open_.startCycle = board_.mcu().cycles();
-}
-
-ModelRecorder::~ModelRecorder()
-{
-    mem::setAccessSink(prev_);
 }
 
 void

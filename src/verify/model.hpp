@@ -107,9 +107,10 @@ struct ProgramModel {
 
 /**
  * Records a ProgramModel during one failure-free Board::run. Installs
- * itself as the process-wide access sink on construction (restoring
- * the previous one on destruction); call finalize() after the run to
- * close the trailing region and snapshot the NV region table.
+ * itself as the calling thread's access sink on construction
+ * (restoring the previous one on destruction); call finalize() after
+ * the run to close the trailing region and snapshot the NV region
+ * table.
  *
  * Data-event filtering matches the dynamic AccessTracer exactly: app
  * context only, NvRam arena only, simulated stack excluded — so the
@@ -119,7 +120,6 @@ class ModelRecorder final : public mem::AccessSink
 {
   public:
     explicit ModelRecorder(board::Board &board);
-    ~ModelRecorder() override;
 
     ModelRecorder(const ModelRecorder &) = delete;
     ModelRecorder &operator=(const ModelRecorder &) = delete;
@@ -148,11 +148,13 @@ class ModelRecorder final : public mem::AccessSink
     void closeRegion(analysis::IntervalEnd end);
 
     board::Board &board_;
-    mem::AccessSink *prev_;
     ProgramModel model_;
     RegionNode open_;
     std::uint32_t guardDepth_ = 0;
     bool finalized_ = false;
+    /** Declared last: installed after every other member is built,
+     *  removed before any is destroyed. */
+    mem::ScopedSink installed_{this};
 };
 
 } // namespace ticsim::verify

@@ -411,6 +411,37 @@ TEST(FaultPlan, RejectsNonDigitNumbers)
     EXPECT_TRUE(p.empty());
 }
 
+TEST(FaultPlan, RejectsOutOfRangeNumbers)
+{
+    // Each of these once parsed into a different fault: a truncated
+    // offset or keepBytes, a value clamped at 2^64 - 1, or a time that
+    // wrapped the simulator's clock arithmetic.
+    fault::FaultPlan p;
+    std::string err;
+    for (const char *bad : {
+             "flip@1:tics.ckpt.hdr0+4294967300&0x40",
+             "tear@store:1/prefix:4294967297",
+             "cut@t:999999999999999999999",
+             "cut@commit:2+999999999999999999999",
+             "cut@commit:2+18446744073709551000",
+             "off:18446744073709551000",
+             "off:9223372036854775808",
+             "cut@t:4611686018427387904", // 2^62 ns
+         }) {
+        EXPECT_FALSE(fault::FaultPlan::parse(bad, p, &err)) << bad;
+    }
+    EXPECT_TRUE(p.empty());
+
+    // The largest accepted values still round-trip.
+    const std::string edge = "cut@t:4611686018427387903;"
+                             "cut@commit:1+4611686018427387903;"
+                             "tear@store:1/prefix:4294967295;"
+                             "flip@1:r+4294967295&0x01;"
+                             "off:4611686018427387903";
+    ASSERT_TRUE(fault::FaultPlan::parse(edge, p, &err)) << err;
+    EXPECT_EQ(p.format(), edge);
+}
+
 // ---- End-to-end replays ----------------------------------------------------
 
 namespace {

@@ -138,7 +138,7 @@ TEST(PerfCounters, FastPathCountsWithoutSink)
 {
     mem::NvRam ram;
     mem::nv<std::uint64_t> x(ram, "perf.test.x");
-    ASSERT_EQ(mem::accessSink(), nullptr);
+    ASSERT_EQ(mem::detail::g_port.sink, nullptr);
 
     const perf::HotCounters before = perf::hot();
     constexpr std::uint64_t kStores = 500;

@@ -23,7 +23,6 @@
 #include "fault/explore.hpp"
 #include "fault/injector.hpp"
 #include "mem/journal.hpp"
-#include "mem/store_gate.hpp"
 #include "mem/trace.hpp"
 #include "replay_reference.hpp"
 #include "support/rng.hpp"
@@ -112,7 +111,7 @@ expectSameRun(const RunTrace &a, const RunTrace &b, const char *what)
  * The resumed run re-enters the capture call, which returns false,
  * and falls through as if the recording run had never stopped.
  */
-class SnapAtEvent : public mem::AccessSink, public mem::StoreGate
+class SnapAtEvent : public mem::AccessSink
 {
   public:
     SnapAtEvent(board::Board &board, std::uint64_t k)
@@ -123,9 +122,6 @@ class SnapAtEvent : public mem::AccessSink, public mem::StoreGate
     bool captured() const { return captured_; }
     const board::Snapshot &snap() const { return snap_; }
 
-    void memRead(const void *, std::uint32_t) override {}
-    void memWrite(const void *, std::uint32_t) override {}
-    void memVersioned(const void *, std::uint32_t) override {}
     void powerOn() override { started_ = true; }
     void commit() override { hit(); }
 
@@ -182,7 +178,7 @@ expectBoundMatchesCapture(const analysis::BoundReference &bound,
  * in-run gated store and commit while armed — the explorer's decision
  * points — and otherwise a plain journaled store.
  */
-class SnapEveryEvent : public mem::AccessSink, public mem::StoreGate
+class SnapEveryEvent : public mem::AccessSink
 {
   public:
     explicit SnapEveryEvent(board::Board &board) : board_(board) {}
@@ -190,9 +186,6 @@ class SnapEveryEvent : public mem::AccessSink, public mem::StoreGate
     void disarm() { armed_ = false; }
     const std::vector<board::Snapshot> &snaps() const { return snaps_; }
 
-    void memRead(const void *, std::uint32_t) override {}
-    void memWrite(const void *, std::uint32_t) override {}
-    void memVersioned(const void *, std::uint32_t) override {}
     void powerOn() override { started_ = true; }
     void commit() override { hit(); }
 
@@ -231,7 +224,7 @@ TEST(SnapshotRoundTrip, ResumeAtStoreKMatchesFromScratchOnEveryPair)
     for (const fault::PairSpec &spec : fault::campaignPairs(cfg)) {
         SCOPED_TRACE(spec.app + "/" + spec.runtime);
 
-        // From-scratch baseline: no sink, no gate, no journal.
+        // From-scratch baseline: no sink, no journal.
         RunTrace base;
         {
             board::BoardConfig bcfg;
@@ -253,15 +246,14 @@ TEST(SnapshotRoundTrip, ResumeAtStoreKMatchesFromScratchOnEveryPair)
             bcfg, std::make_unique<energy::ContinuousSupply>(),
             std::make_unique<timekeeper::PerfectTimekeeper>());
         SnapAtEvent sink(board, 2);
-        mem::ScopedAccessSink as(&sink);
-        mem::ScopedStoreGate sg(&sink);
+        mem::ScopedSink as(&sink);
         harness::ScenarioInstance env = spec.make(board);
         mem::WriteJournal journal;
         mem::ScopedWriteJournal sj(&journal);
 
         board.beginRun(*env.runtime, env.entry, cfg.budget);
         const RunTrace first = traceOf(board, env, board.continueRun());
-        // Host-side observation (sink + gate + journal) must be free:
+        // Host-side observation (sink + journal) must be free:
         // the instrumented run is the baseline run.
         expectSameRun(base, first, "instrumented vs baseline");
         ASSERT_TRUE(sink.captured());
@@ -283,8 +275,7 @@ TEST(SnapshotRoundTrip, RepeatedRestoreFromOneSnapshotIsIdempotent)
                        std::make_unique<energy::ContinuousSupply>(),
                        std::make_unique<timekeeper::PerfectTimekeeper>());
     SnapAtEvent sink(board, 3);
-    mem::ScopedAccessSink as(&sink);
-    mem::ScopedStoreGate sg(&sink);
+    mem::ScopedSink as(&sink);
     harness::ScenarioInstance env = spec.make(board);
     mem::WriteJournal journal;
     mem::ScopedWriteJournal sj(&journal);
@@ -307,8 +298,8 @@ TEST(SnapshotRoundTrip, RepeatedRestoreFromOneSnapshotIsIdempotent)
 
 TEST(ForkDeterminism, ConcurrentExplorationsShareNoState)
 {
-    // Two boards exploring concurrently on two threads: the sink,
-    // store gate and write journal are thread-local, so each walk must
+    // Two boards exploring concurrently on two threads: the NV port's
+    // sink and write journal are thread-local, so each walk must
     // produce exactly what it produces alone.
     fault::ExploreConfig cfg;
     cfg.base = smallConfig();
@@ -551,8 +542,7 @@ TEST(BoundReference, MatchesCaptureAfterFaultPlansOnEveryPair)
                 bcfg, std::move(supply),
                 std::make_unique<timekeeper::PerfectTimekeeper>());
             fault::FaultInjector inj(board, *sup, plan, false);
-            mem::ScopedAccessSink as(&inj);
-            mem::ScopedStoreGate sg(&inj);
+            mem::ScopedSink as(&inj);
             harness::ScenarioInstance env = spec.make(board);
             board.beginRun(*env.runtime, env.entry, cfg.budget);
             const analysis::BoundReference bound =
@@ -591,8 +581,7 @@ TEST(BoundReference, OneBindingSurvivesRestoresOnEveryPair)
         board::Board board(bcfg, std::move(supply),
                            std::make_unique<timekeeper::PerfectTimekeeper>());
         SnapEveryEvent sink(board);
-        mem::ScopedAccessSink as(&sink);
-        mem::ScopedStoreGate sg(&sink);
+        mem::ScopedSink as(&sink);
         harness::ScenarioInstance env = spec.make(board);
         mem::WriteJournal journal;
         mem::ScopedWriteJournal sj(&journal);
