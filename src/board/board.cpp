@@ -4,6 +4,7 @@
 
 #include "board/runtime.hpp"
 #include "mem/journal.hpp"
+#include "perf/counters.hpp"
 #include "support/logging.hpp"
 
 namespace ticsim::board {
@@ -50,12 +51,17 @@ bool
 Board::drainCycles(Cycles c)
 {
     const TimeNs dur = mcu_.cyclesToNs(c);
-    const auto r = supply_->drain(now_, dur, costs().activePower);
+    // Below the supply's death horizon the charge completes and drain()
+    // would change nothing, so only a charge reaching it calls drain().
+    energy::DrainResult r{false, dur};
+    if (now_ + dur >= supply_->safeUntil()) {
+        ++perf::hot().supplyDrains;
+        r = supply_->drain(now_, dur, costs().activePower);
+    }
     now_ += r.ranFor;
     onTime_ += r.ranFor;
-    const Cycles ran = r.died
-        ? static_cast<Cycles>(r.ranFor / costs().cycleTimeNs())
-        : c;
+    const Cycles ran =
+        r.died ? static_cast<Cycles>(r.ranFor / mcu_.cycleTimeNs()) : c;
     mcu_.addCycles(ran);
     return r.died;
 }
@@ -314,6 +320,8 @@ Board::restore(const Snapshot &s)
         StateReader r(s.supply);
         supply_->loadState(r);
         TICSIM_ASSERT(r.exhausted(), "supply blob mismatch");
+        // Time moved backwards: a horizon computed later is wrong here.
+        supply_->dropHorizon();
     }
     {
         StateReader r(s.timekeeper);

@@ -23,7 +23,7 @@ class Mcu
 {
   public:
     explicit Mcu(CostModel costs = CostModel())
-        : costs_(costs), stats_("mcu")
+        : costs_(costs), cycleNs_(costs.cycleTimeNs()), stats_("mcu")
     {
     }
 
@@ -49,8 +49,12 @@ class Mcu
     /** Attach the phase profiler every charge is attributed through. */
     void setPhaseProfiler(telemetry::PhaseProfiler *p) { profiler_ = p; }
 
+    /** Duration of one cycle at the configured clock (the cost model
+     *  is immutable, so it is computed once). */
+    TimeNs cycleTimeNs() const { return cycleNs_; }
+
     /** Duration of @p c cycles at the configured clock. */
-    TimeNs cyclesToNs(Cycles c) const { return costs_.cyclesToNs(c); }
+    TimeNs cyclesToNs(Cycles c) const { return c * cycleNs_; }
 
     /** Energy drawn by @p c active cycles. */
     Joules cyclesToJoules(Cycles c) const
@@ -74,6 +78,7 @@ class Mcu
 
   private:
     CostModel costs_;
+    TimeNs cycleNs_;
     Cycles cycles_ = 0;
     StatGroup stats_;
     telemetry::PhaseProfiler *profiler_ = nullptr;

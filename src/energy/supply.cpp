@@ -9,6 +9,7 @@ namespace ticsim::energy {
 DrainResult
 ContinuousSupply::drain(TimeNs, TimeNs dur, Watts)
 {
+    horizon_ = kForever;
     return {false, dur};
 }
 
@@ -36,13 +37,18 @@ PatternSupply::PatternSupply(TimeNs period, double onFraction)
 DrainResult
 PatternSupply::drain(TimeNs now, TimeNs dur, Watts)
 {
-    if (!intermittent())
+    if (!intermittent()) {
+        horizon_ = kForever;
         return {false, dur};
+    }
     const TimeNs phase = now % period_;
+    // Every later charge ending before this on-window closes completes
+    // (in an off window the end has passed, so every charge comes here).
+    horizon_ = now - phase + onTime_;
     if (phase >= onTime_) {
         // Called while inside an off window (can happen when the board
         // probes right at a boundary): die immediately.
-        ++stats_.counter("deaths");
+        ++deaths_;
         return {true, 0};
     }
     const TimeNs remainingOn = onTime_ - phase;
@@ -53,7 +59,7 @@ PatternSupply::drain(TimeNs now, TimeNs dur, Watts)
     // twice — once as unfinished work, once as off time.)
     if (dur <= remainingOn)
         return {false, dur};
-    ++stats_.counter("deaths");
+    ++deaths_;
     return {true, remainingOn};
 }
 
@@ -79,22 +85,26 @@ ScheduledSupply::ScheduledSupply(ResetPattern pattern)
 DrainResult
 ScheduledSupply::drain(TimeNs now, TimeNs dur, Watts)
 {
-    if (next_ >= pattern_.cutsAt.size())
-        return {false, dur};
-    const TimeNs cut = pattern_.cutsAt[next_];
-    if (cut <= now) {
-        // The cut instant has arrived (or passed, when a previous
-        // reboot's boot/restore charges straddled it): re-entrant
-        // death, before any of this charge runs.
-        ++next_;
-        ++stats_.counter("deaths");
-        return {true, 0};
+    DrainResult r{false, dur};
+    if (next_ < pattern_.cutsAt.size()) {
+        const TimeNs cut = pattern_.cutsAt[next_];
+        if (cut <= now) {
+            // The cut instant has arrived (or passed, when a previous
+            // reboot's boot/restore charges straddled it): re-entrant
+            // death, before any of this charge runs.
+            r = {true, 0};
+        } else if (now + dur > cut) {
+            r = {true, cut - now}; // ending at the cut still completes
+        }
+        if (r.died) {
+            ++next_;
+            ++deaths_;
+        }
     }
-    if (now + dur <= cut)
-        return {false, dur}; // ends at or before the cut: completes
-    ++next_;
-    ++stats_.counter("deaths");
-    return {true, cut - now};
+    // Every charge ending before the next unconsumed cut completes.
+    horizon_ = next_ < pattern_.cutsAt.size() ? pattern_.cutsAt[next_]
+                                              : kForever;
+    return r;
 }
 
 TimeNs
@@ -129,7 +139,7 @@ HarvestingSupply::drain(TimeNs now, TimeNs dur, Watts load)
         cap_.discharge((load + cfg_.leakage) * dt);
         done += step;
         if (cap_.voltage() < cfg_.vOff) {
-            ++stats_.counter("deaths");
+            ++deaths_;
             return {true, done};
         }
     }
@@ -153,8 +163,7 @@ HarvestingSupply::offTimeAfterDeath(TimeNs deathTime)
         cap_.discharge(cfg_.leakage * dt);
         off += step;
     }
-    stats_.distribution("offTimeUs").sample(
-        static_cast<double>(nsToUs(off)));
+    offTimeUs_.sample(static_cast<double>(nsToUs(off)));
     return off;
 }
 

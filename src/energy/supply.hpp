@@ -14,6 +14,7 @@
 #ifndef TICSIM_ENERGY_SUPPLY_HPP
 #define TICSIM_ENERGY_SUPPLY_HPP
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -53,8 +54,24 @@ class Supply
      */
     virtual TimeNs offTimeAfterDeath(TimeNs deathTime) = 0;
 
-    /** Restore the initial state (for experiment repetition). */
+    /** Restore the initial state (for experiment repetition). Every
+     *  implementation also drops the death horizon. */
     virtual void reset() = 0;
+
+    /**
+     * Death horizon: any drain(t, d) with t + d < safeUntil() would
+     * return {false, d} and change no supply state, stats included,
+     * so the Board may account the charge without calling drain().
+     * 0 means "call drain". Supplies whose deaths depend only on time
+     * (continuous, pattern, scheduled, and fault overlays on them)
+     * refresh it inside drain(); the horizon is valid only while time
+     * moves forward, so reset(), loadState() and dropHorizon() clear
+     * it. Harvesting and trace supplies leave it at 0.
+     */
+    TimeNs safeUntil() const { return horizon_; }
+
+    /** Clear the death horizon: time is about to move backwards. */
+    void dropHorizon() { horizon_ = 0; }
 
     /** False for bench supplies that can never brown out. */
     virtual bool intermittent() const { return true; }
@@ -81,7 +98,12 @@ class Supply
     virtual void loadState(StateReader &) {}
 
   protected:
+    /** A horizon no drain can reach. */
+    static constexpr TimeNs kForever = std::numeric_limits<TimeNs>::max();
+
     StatGroup stats_;
+    CounterHandle deaths_{stats_, "deaths"};
+    TimeNs horizon_ = 0; ///< see safeUntil()
 };
 
 /** Never browns out. */
@@ -90,7 +112,7 @@ class ContinuousSupply : public Supply
   public:
     DrainResult drain(TimeNs, TimeNs dur, Watts) override;
     TimeNs offTimeAfterDeath(TimeNs) override;
-    void reset() override {}
+    void reset() override { horizon_ = 0; }
     bool intermittent() const override { return false; }
 };
 
@@ -108,7 +130,7 @@ class PatternSupply : public Supply
 
     DrainResult drain(TimeNs now, TimeNs dur, Watts load) override;
     TimeNs offTimeAfterDeath(TimeNs deathTime) override;
-    void reset() override {}
+    void reset() override { horizon_ = 0; }
     bool intermittent() const override { return onTime_ < period_; }
 
     TimeNs period() const { return period_; }
@@ -149,7 +171,12 @@ class ScheduledSupply : public Supply
 
     DrainResult drain(TimeNs now, TimeNs dur, Watts load) override;
     TimeNs offTimeAfterDeath(TimeNs deathTime) override;
-    void reset() override { next_ = 0; }
+    void
+    reset() override
+    {
+        next_ = 0;
+        horizon_ = 0;
+    }
     bool intermittent() const override { return !pattern_.cutsAt.empty(); }
 
     /** Cuts consumed so far (== deaths this supply forced). */
@@ -160,6 +187,7 @@ class ScheduledSupply : public Supply
     void loadState(StateReader &r) override
     {
         next_ = r.get<std::size_t>();
+        horizon_ = 0;
     }
 
   private:
@@ -211,6 +239,7 @@ class HarvestingSupply : public Supply
     Config cfg_;
     std::unique_ptr<Harvester> harvester_;
     Capacitor cap_;
+    DistributionHandle offTimeUs_{stats_, "offTimeUs"};
 };
 
 } // namespace ticsim::energy

@@ -268,7 +268,7 @@ TraceSupply::drain(TimeNs now, TimeNs dur, Watts load)
         cap_.discharge((load + cfg_.leakage) * dt);
         done += step;
         if (cap_.voltage() < cfg_.vOff) {
-            ++stats_.counter("deaths");
+            ++deaths_;
             return {true, done};
         }
     }
@@ -285,7 +285,7 @@ TraceSupply::offTimeAfterDeath(TimeNs deathTime)
             // light again): report the cap and let the board's
             // starvation detector conclude the run. This is expected
             // for trace cells, so no per-death log noise.
-            ++stats_.counter("darkGiveUps");
+            ++darkGiveUps_;
             return cfg_.maxOffTime;
         }
         const TimeNs t = cfg_.startOffset + deathTime + off;
@@ -309,8 +309,7 @@ TraceSupply::offTimeAfterDeath(TimeNs deathTime)
         }
         off += stepSegment(seg, t, off);
     }
-    stats_.distribution("offTimeUs").sample(
-        static_cast<double>(nsToUs(off)));
+    offTimeUs_.sample(static_cast<double>(nsToUs(off)));
     return off;
 }
 

@@ -230,6 +230,8 @@ class TraceSupply : public Supply
     Config cfg_;
     std::shared_ptr<const EnvTrace> trace_;
     Capacitor cap_;
+    CounterHandle darkGiveUps_{stats_, "darkGiveUps"};
+    DistributionHandle offTimeUs_{stats_, "offTimeUs"};
 };
 
 } // namespace ticsim::energy

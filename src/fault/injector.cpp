@@ -28,6 +28,7 @@ FaultedSupply::scheduleAbsolute(std::vector<TimeNs> cutsAt)
     }
     abs_ = std::move(cutsAt);
     nextAbs_ = 0;
+    horizon_ = 0;
 }
 
 bool
@@ -37,6 +38,7 @@ FaultedSupply::armCutAfter(TimeNs delay)
         return false; // first armed boundary wins
     havePending_ = true;
     pendingDelay_ = delay;
+    horizon_ = 0; // the next drain must turn the delay into a deadline
     return true;
 }
 
@@ -52,12 +54,19 @@ FaultedSupply::drain(TimeNs now, TimeNs dur, Watts load)
     const TimeNs absCut = nextAbs_ < abs_.size() ? abs_[nextAbs_] : kNever;
     const TimeNs armCut = haveArmed_ ? armedAt_ : kNever;
     const TimeNs cut = std::min(absCut, armCut);
+    // After an inner drain at `now`, charges ending before both the
+    // inner horizon and the next cut complete untouched. An injected
+    // death leaves the horizon at 0: the inner may not have been
+    // drained at this time.
+    horizon_ = 0;
     if (cut == kNever || now + dur <= cut) {
         if (cut != kNever && cut <= now) {
             // Past-due cut (armed during off/boot work): re-entrant
             // death before any of this charge runs.
         } else {
-            return inner_->drain(now, dur, load);
+            const energy::DrainResult r = inner_->drain(now, dur, load);
+            horizon_ = std::min(inner_->safeUntil(), cut);
+            return r;
         }
     }
     const TimeNs ranFor = cut > now ? cut - now : 0;
@@ -68,6 +77,7 @@ FaultedSupply::drain(TimeNs now, TimeNs dur, Watts load)
             // instant: that death wins and keeps the inner off time.
             // The cut stays scheduled and fires past-due on the next
             // drain, like any cut landing in an off window.
+            horizon_ = std::min(inner_->safeUntil(), cut);
             return pre;
         }
     }
@@ -80,7 +90,7 @@ FaultedSupply::drain(TimeNs now, TimeNs dur, Watts load)
     forced_ = true;
     ++injected_;
     fired_.push_back(cut > now ? cut : now);
-    ++stats_.counter("injectedCuts");
+    ++injectedCuts_;
     return {true, ranFor};
 }
 
@@ -98,6 +108,7 @@ void
 FaultedSupply::reset()
 {
     inner_->reset();
+    horizon_ = 0;
     nextAbs_ = 0;
     havePending_ = false;
     haveArmed_ = false;
@@ -143,6 +154,7 @@ FaultedSupply::loadState(StateReader &r)
     for (TimeNs &t : absFired_)
         t = r.get<TimeNs>();
     inner_->loadState(r);
+    horizon_ = 0;
 }
 
 // ---- FaultInjector ---------------------------------------------------------

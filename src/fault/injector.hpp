@@ -101,6 +101,7 @@ class FaultedSupply : public energy::Supply
     std::uint64_t injected_ = 0;
     std::vector<TimeNs> fired_;
     std::vector<TimeNs> absFired_;
+    CounterHandle injectedCuts_{stats_, "injectedCuts"};
 };
 
 /** Per-boundary and per-store-site occurrence totals of one run. */

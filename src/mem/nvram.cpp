@@ -4,10 +4,7 @@
 
 namespace ticsim::mem {
 
-NvRam::NvRam(std::uint32_t size)
-    : size_(size), data_(size, 0), stats_("nvram")
-{
-}
+NvRam::NvRam(std::uint32_t size) : size_(size), data_(size, 0) {}
 
 Addr
 NvRam::allocate(const std::string &name, std::uint32_t size,
@@ -70,20 +67,6 @@ NvRam::regionAt(Addr a) const
         return nullptr;
     const NvRegion &r = regions_[lo - 1];
     return a < r.base + r.size ? &r : nullptr;
-}
-
-void
-NvRam::accountWrite(std::uint32_t bytes)
-{
-    stats_.counter("bytesWritten") += bytes;
-    ++stats_.counter("writes");
-}
-
-void
-NvRam::accountRead(std::uint32_t bytes)
-{
-    stats_.counter("bytesRead") += bytes;
-    ++stats_.counter("reads");
 }
 
 } // namespace ticsim::mem

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "support/stats.hpp"
 #include "support/units.hpp"
 
 namespace ticsim::mem {
@@ -32,9 +31,9 @@ struct NvRegion {
 };
 
 /**
- * Bump-allocated non-volatile arena with named regions and traffic
- * accounting. Region layout is fixed for the lifetime of an
- * experiment (embedded firmware has a static memory map).
+ * Bump-allocated non-volatile arena with named regions. Region layout
+ * is fixed for the lifetime of an experiment (embedded firmware has a
+ * static memory map).
  */
 class NvRam
 {
@@ -73,18 +72,11 @@ class NvRam
      */
     const NvRegion *regionAt(Addr a) const;
 
-    /** Traffic accounting (charged by the runtimes that move data). */
-    void accountWrite(std::uint32_t bytes);
-    void accountRead(std::uint32_t bytes);
-
-    StatGroup &stats() { return stats_; }
-
   private:
     std::uint32_t size_;
     std::uint32_t next_ = 0;
     std::vector<std::uint8_t> data_;
     std::vector<NvRegion> regions_;
-    StatGroup stats_;
 };
 
 } // namespace ticsim::mem

@@ -87,6 +87,11 @@ struct HotCounters {
     std::uint64_t jobsExecuted = 0;
     std::uint64_t jobSteals = 0;
 
+    // ---- energy ----
+    /** Board charges that reached the supply's death horizon and
+     *  called Supply::drain (charges below it skip the call). */
+    std::uint64_t supplyDrains = 0;
+
     /** Fold @p o into this block (cross-thread merge). */
     void add(const HotCounters &o);
 

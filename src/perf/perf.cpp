@@ -132,6 +132,7 @@ constexpr CounterField kCounterFields[] = {
     {"event_drops", &HotCounters::eventDrops},
     {"jobs_executed", &HotCounters::jobsExecuted},
     {"job_steals", &HotCounters::jobSteals},
+    {"supply_drains", &HotCounters::supplyDrains},
 };
 
 } // namespace

@@ -56,7 +56,7 @@ ChinchillaRuntime::onPowerOn()
     const auto applied = versions_->rollback();
     if (applied > 0)
         b.events().emit(telemetry::EventKind::Rollback, b.now(), applied);
-    stats_.counter("rollbackEntries") += applied;
+    rollbackEntries_ += applied;
     versions_->clear();
     epochLogged_.clear();
 
@@ -75,7 +75,7 @@ ChinchillaRuntime::onPowerOn()
         return false;
     tics::restoreStackImage(*slot);
     lastCkptTrue_ = b.now();
-    ++stats_.counter("restores");
+    ++restores_;
     b.events().emit(telemetry::EventKind::Restore, b.now());
     b.ctx().prepareResume(slot->regs);
     return true;
@@ -107,7 +107,7 @@ ChinchillaRuntime::doCheckpoint()
     epochLogged_.clear();
     lastCkptTrue_ = b.now();
     ++ckpts_;
-    ++stats_.counter("checkpoints");
+    ++checkpoints_;
     b.events().emit(telemetry::EventKind::CheckpointCommit, b.now());
     b.markProgress();
     return true;
@@ -141,9 +141,8 @@ ChinchillaRuntime::preWrite(void *hostAddr, std::uint32_t bytes)
     if (b.ctx().onStack(hostAddr))
         return; // host-local bookkeeping; promoted state is in nv<T>
 
-    const auto it = epochLogged_.find(hostAddr);
-    if (it != epochLogged_.end() && it->second >= bytes) {
-        ++stats_.counter("versionDedupHits");
+    if (epochLogged_.covers(hostAddr, bytes)) {
+        ++versionDedupHits_;
         return;
     }
     if (versions_->wouldOverflow(bytes))
@@ -151,8 +150,8 @@ ChinchillaRuntime::preWrite(void *hostAddr, std::uint32_t bytes)
     b.charge(device::CostModel::linear(costs.undoLogBase,
                                        costs.undoLogPerByte, bytes));
     versions_->append(hostAddr, bytes);
-    epochLogged_[hostAddr] = bytes;
-    ++stats_.counter("versionAppends");
+    epochLogged_.set(hostAddr, bytes);
+    ++versionAppends_;
 }
 
 } // namespace ticsim::runtimes

@@ -22,11 +22,10 @@
 #ifndef TICSIM_RUNTIMES_CHINCHILLA_HPP
 #define TICSIM_RUNTIMES_CHINCHILLA_HPP
 
-#include <unordered_map>
-
 #include "board/board.hpp"
 #include "board/runtime.hpp"
 #include "tics/checkpoint_area.hpp"
+#include "tics/epoch_set.hpp"
 #include "tics/undo_log.hpp"
 
 namespace ticsim::runtimes {
@@ -42,7 +41,8 @@ struct ChinchillaConfig {
 class ChinchillaRuntime : public board::Runtime, private mem::MemHooks
 {
   public:
-    explicit ChinchillaRuntime(ChinchillaConfig cfg = {}) : cfg_(cfg)
+    explicit ChinchillaRuntime(ChinchillaConfig cfg = {})
+        : cfg_(cfg), epochLogged_(cfg.versionEntries)
     {
         stats_ = StatGroup("chinchilla");
     }
@@ -66,11 +66,7 @@ class ChinchillaRuntime : public board::Runtime, private mem::MemHooks
         w.put(lastCkptTrue_);
         w.put(ckpts_);
         w.put(versions_->cursor());
-        w.put(static_cast<std::uint64_t>(epochLogged_.size()));
-        for (const auto &[p, bytes] : epochLogged_) {
-            w.put(reinterpret_cast<std::uintptr_t>(p));
-            w.put(bytes);
-        }
+        epochLogged_.saveState(w);
         area_->saveHostState(w);
     }
     void
@@ -79,12 +75,7 @@ class ChinchillaRuntime : public board::Runtime, private mem::MemHooks
         lastCkptTrue_ = r.get<TimeNs>();
         ckpts_ = r.get<std::uint64_t>();
         versions_->setCursor(r.get<tics::UndoLog::Cursor>());
-        epochLogged_.clear();
-        const auto n = r.get<std::uint64_t>();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            auto *p = reinterpret_cast<void *>(r.get<std::uintptr_t>());
-            epochLogged_[p] = r.get<std::uint32_t>();
-        }
+        epochLogged_.loadState(r);
         area_->loadHostState(r);
     }
 
@@ -95,9 +86,15 @@ class ChinchillaRuntime : public board::Runtime, private mem::MemHooks
     ChinchillaConfig cfg_;
     std::unique_ptr<tics::CheckpointArea> area_;
     std::unique_ptr<tics::UndoLog> versions_;
-    std::unordered_map<void *, std::uint32_t> epochLogged_;
+    /** Promoted globals already versioned since the last commit. */
+    tics::EpochSet epochLogged_;
     TimeNs lastCkptTrue_ = 0;
     std::uint64_t ckpts_ = 0;
+    CounterHandle rollbackEntries_{stats_, "rollbackEntries"};
+    CounterHandle restores_{stats_, "restores"};
+    CounterHandle checkpoints_{stats_, "checkpoints"};
+    CounterHandle versionDedupHits_{stats_, "versionDedupHits"};
+    CounterHandle versionAppends_{stats_, "versionAppends"};
 };
 
 } // namespace ticsim::runtimes

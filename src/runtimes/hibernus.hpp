@@ -62,7 +62,7 @@ class HibernusRuntime : public MementosRuntime
 
         // Falling edge through Vsave: hibernate.
         savedThisLife_ = true;
-        ++stats_.counter("hibernations");
+        ++hibernations_;
         checkpointNow();
         // Sleep out the remaining charge (the device does no useful
         // work below Vsave). A restore re-enters inside
@@ -89,6 +89,7 @@ class HibernusRuntime : public MementosRuntime
     Volts vSave_;
     /** Volatile comparator latch (re-armed by every boot). */
     bool savedThisLife_ = false;
+    CounterHandle hibernations_{stats_, "hibernations"};
 };
 
 } // namespace ticsim::runtimes

@@ -106,7 +106,7 @@ class MayflyRuntime : public TaskRuntime
                                : 0;
         if (age > it->second.lifetime) {
             ++expired_;
-            ++stats_.counter("expiredTokens");
+            ++expiredTokens_;
             return it->second.onExpired;
         }
         return t;
@@ -133,6 +133,7 @@ class MayflyRuntime : public TaskRuntime
     std::uint64_t expired_ = 0;
     TaskId restartRoot_ = -1;
     std::function<bool()> restartDone_;
+    CounterHandle expiredTokens_{stats_, "expiredTokens"};
 };
 
 } // namespace ticsim::taskrt

@@ -109,7 +109,7 @@ MementosRuntime::onPowerOn()
     }
     model_ = ckptModel_;
     lastCkptTrue_ = b.now();
-    ++stats_.counter("restores");
+    ++restores_;
     b.events().emit(telemetry::EventKind::Restore, b.now());
     b.ctx().prepareResume(slot->regs);
     return true;
@@ -148,7 +148,7 @@ MementosRuntime::doCheckpoint()
     committedStackBytes_ = model_.totalBytes;
     lastCkptTrue_ = b.now();
     ++ckpts_;
-    ++stats_.counter("checkpoints");
+    ++checkpoints_;
     b.events().emit(telemetry::EventKind::CheckpointCommit, b.now());
     b.markProgress();
     // After markProgress so the coverage lands in the new interval:

@@ -102,6 +102,8 @@ class MementosRuntime : public board::Runtime
 
     TimeNs lastCkptTrue_ = 0;
     std::uint64_t ckpts_ = 0;
+    CounterHandle restores_{stats_, "restores"};
+    CounterHandle checkpoints_{stats_, "checkpoints"};
 };
 
 } // namespace ticsim::runtimes

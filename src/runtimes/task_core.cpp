@@ -88,7 +88,7 @@ TaskRuntime::taskLoop()
         const TaskId from = current_;
         current_ = next;
         ++transitions_;
-        ++stats_.counter("transitions");
+        ++transitionsStat_;
         b.markProgress();
         postTransition(from, next);
     }

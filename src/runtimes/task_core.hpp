@@ -227,6 +227,7 @@ class TaskRuntime : public board::Runtime
     TaskId initial_ = 0;
     TaskId current_ = 0; ///< non-volatile current-task pointer
     std::uint64_t transitions_ = 0;
+    CounterHandle transitionsStat_{stats_, "transitions"};
 };
 
 template <typename T>

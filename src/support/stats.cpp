@@ -23,8 +23,6 @@ fmtDouble(double v)
 
 namespace ticsim {
 
-Distribution::Distribution() : hist_(kBuckets, 0) {}
-
 int
 Distribution::bucketIndex(double v)
 {
@@ -67,13 +65,44 @@ Distribution::sample(double v)
     const double delta = v - mean_;
     mean_ += delta / static_cast<double>(count_);
     m2_ += delta * (v - mean_);
-    ++hist_[static_cast<std::size_t>(bucketIndex(v))];
+    const auto idx = static_cast<std::uint32_t>(bucketIndex(v));
+    const auto it = lowerBound(idx);
+    if (it != hist_.end() && it->index == idx)
+        ++it->count;
+    else
+        hist_.insert(it, Bucket{idx, 1});
+}
+
+std::vector<Distribution::Bucket>::iterator
+Distribution::lowerBound(std::uint32_t idx)
+{
+    return std::lower_bound(
+        hist_.begin(), hist_.end(), idx,
+        [](const Bucket &b, std::uint32_t i) { return b.index < i; });
 }
 
 void
 Distribution::reset()
 {
-    *this = Distribution();
+    count_ = 0;
+    sum_ = mean_ = m2_ = min_ = max_ = 0.0;
+    hist_.clear();
+}
+
+void
+Distribution::setBucket(int idx, std::uint64_t c)
+{
+    const auto i = static_cast<std::uint32_t>(idx);
+    const auto it = lowerBound(i);
+    const bool found = it != hist_.end() && it->index == i;
+    if (c == 0) {
+        if (found)
+            hist_.erase(it);
+    } else if (found) {
+        it->count = c;
+    } else {
+        hist_.insert(it, Bucket{i, c});
+    }
 }
 
 void
@@ -97,9 +126,28 @@ Distribution::merge(const Distribution &other)
     sum_ += other.sum_;
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
-    for (int i = 0; i < kBuckets; ++i)
-        hist_[static_cast<std::size_t>(i)] +=
-            other.hist_[static_cast<std::size_t>(i)];
+    // Bucket-wise addition over the two ascending lists. A sum that
+    // wraps to zero leaves the bucket out, so only non-empty ones stay.
+    std::vector<Bucket> sum;
+    sum.reserve(hist_.size() + other.hist_.size());
+    auto a = hist_.begin();
+    auto b = other.hist_.begin();
+    while (a != hist_.end() || b != other.hist_.end()) {
+        Bucket next;
+        if (b == other.hist_.end() ||
+            (a != hist_.end() && a->index < b->index)) {
+            next = *a++;
+        } else if (a == hist_.end() || b->index < a->index) {
+            next = *b++;
+        } else {
+            next = Bucket{a->index, a->count + b->count};
+            ++a;
+            ++b;
+        }
+        if (next.count != 0)
+            sum.push_back(next);
+    }
+    hist_.swap(sum);
 }
 
 std::string
@@ -110,11 +158,8 @@ Distribution::encode() const
        << ' ' << fmtDouble(m2_) << ' ' << fmtDouble(min_) << ' '
        << fmtDouble(max_);
     // Sparse histogram: "index:count" for non-empty buckets only.
-    for (int i = 0; i < kBuckets; ++i) {
-        const std::uint64_t c = hist_[static_cast<std::size_t>(i)];
-        if (c != 0)
-            os << ' ' << i << ':' << c;
-    }
+    for (const Bucket &b : hist_)
+        os << ' ' << b.index << ':' << b.count;
     return os.str();
 }
 
@@ -147,7 +192,7 @@ Distribution::decode(const std::string &text)
             reset();
             return false;
         }
-        hist_[static_cast<std::size_t>(idx)] = c;
+        setBucket(idx, c); // a repeated index: the last token wins
     }
     return true;
 }
@@ -171,12 +216,35 @@ Distribution::percentile(double fraction) const
     const auto rank = static_cast<std::uint64_t>(std::max(
         1.0, std::ceil(fraction * static_cast<double>(count_))));
     std::uint64_t seen = 0;
-    for (int i = 0; i < kBuckets; ++i) {
-        seen += hist_[static_cast<std::size_t>(i)];
+    for (const Bucket &b : hist_) {
+        seen += b.count;
         if (seen >= rank)
-            return std::clamp(bucketMid(i), min_, max_);
+            return std::clamp(bucketMid(static_cast<int>(b.index)), min_,
+                              max_);
     }
     return max_;
+}
+
+StatGroup &
+StatGroup::operator=(const StatGroup &o)
+{
+    name_ = o.name_;
+    counters_ = o.counters_;
+    distributions_ = o.distributions_;
+    scalars_ = o.scalars_;
+    ++generation_;
+    return *this;
+}
+
+StatGroup &
+StatGroup::operator=(StatGroup &&o) noexcept
+{
+    name_ = std::move(o.name_);
+    counters_ = std::move(o.counters_);
+    distributions_ = std::move(o.distributions_);
+    scalars_ = std::move(o.scalars_);
+    ++generation_;
+    return *this;
 }
 
 Counter &

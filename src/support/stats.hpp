@@ -14,6 +14,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace ticsim {
@@ -41,13 +42,14 @@ class Counter
  * The histogram has a fixed bucket layout: one bucket for values
  * <= 0 plus kSubBuckets buckets per power of two across a wide
  * exponent range, giving a bounded relative error of about
- * 1/(2*kSubBuckets) per query with a few KiB of fixed storage.
+ * 1/(2*kSubBuckets) per query. Only non-empty buckets are stored, as
+ * (index, count) pairs in ascending index order, so an empty
+ * distribution allocates nothing and copying one costs a few bytes
+ * per occupied bucket instead of the whole layout.
  */
 class Distribution
 {
   public:
-    Distribution();
-
     void sample(double v);
     void reset();
 
@@ -113,24 +115,43 @@ class Distribution
     static double bucketMid(int idx);
 
   private:
+    /** One non-empty histogram bucket. */
+    struct Bucket {
+        std::uint32_t index;
+        std::uint64_t count;
+    };
+
+    /** First stored bucket whose index is not below @p idx. */
+    std::vector<Bucket>::iterator lowerBound(std::uint32_t idx);
+    /** Set bucket @p idx to @p c (0 removes it). */
+    void setBucket(int idx, std::uint64_t c);
+
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double mean_ = 0.0;
     double m2_ = 0.0; ///< Welford's sum of squared deviations
     double min_ = 0.0;
     double max_ = 0.0;
-    std::vector<std::uint64_t> hist_;
+    std::vector<Bucket> hist_; ///< non-empty buckets, ascending index
 };
 
 /**
- * A named bag of statistics owned by a component. Components register
- * their counters/distributions once; the group formats them on dump()
- * and exposes them for programmatic lookup.
+ * A named bag of statistics owned by a component. Components bump
+ * their counters/distributions through StatHandles; the group formats
+ * them on dump() and exposes them for programmatic lookup. A stat
+ * exists from its first use on, so reports list only touched stats.
  */
 class StatGroup
 {
   public:
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
+    StatGroup(const StatGroup &) = default;
+    StatGroup(StatGroup &&) = default;
+    /** Assignment replaces the maps (a snapshot restore does this), so
+     *  it bumps generation() and every handle into the group looks its
+     *  stat up again. */
+    StatGroup &operator=(const StatGroup &o);
+    StatGroup &operator=(StatGroup &&o) noexcept;
 
     Counter &counter(const std::string &name);
     Distribution &distribution(const std::string &name);
@@ -164,12 +185,68 @@ class StatGroup
     /** Human-readable listing (one stat per line, gem5-style). */
     void dump(std::ostream &os) const;
 
+    /** Changes whenever an assignment may have freed or reused the
+     *  map nodes a handle points at (never 0). */
+    std::uint64_t generation() const { return generation_; }
+
   private:
     std::string name_;
     std::map<std::string, Counter> counters_;
     std::map<std::string, Distribution> distributions_;
     std::map<std::string, double> scalars_;
+    std::uint64_t generation_ = 1;
 };
+
+/**
+ * One named counter or distribution of a StatGroup, for the paths that
+ * bump it per operation. The string-keyed lookup runs on the first
+ * bump, so a stat that is never touched never appears in the group,
+ * and again after the group was assigned over: map assignment reuses
+ * nodes across keys, so a cached reference could otherwise land on
+ * another stat after a snapshot restore. Every other bump is a compare
+ * and an add. Handles are members of the group's owner and point into
+ * it, so they are neither copied nor moved.
+ */
+template <typename Stat>
+class StatHandle
+{
+    static_assert(std::is_same_v<Stat, Counter> ||
+                  std::is_same_v<Stat, Distribution>);
+
+  public:
+    StatHandle(StatGroup &group, const char *name)
+        : group_(&group), name_(name)
+    {
+    }
+    StatHandle(const StatHandle &) = delete;
+    StatHandle &operator=(const StatHandle &) = delete;
+
+    Stat &
+    get()
+    {
+        if (gen_ != group_->generation()) {
+            if constexpr (std::is_same_v<Stat, Counter>)
+                stat_ = &group_->counter(name_);
+            else
+                stat_ = &group_->distribution(name_);
+            gen_ = group_->generation();
+        }
+        return *stat_;
+    }
+
+    StatHandle &operator++() { ++get(); return *this; }
+    StatHandle &operator+=(std::uint64_t n) { get() += n; return *this; }
+    void sample(double v) { get().sample(v); }
+
+  private:
+    StatGroup *group_;
+    const char *name_;
+    Stat *stat_ = nullptr;
+    std::uint64_t gen_ = 0; ///< group generation stat_ was resolved at
+};
+
+using CounterHandle = StatHandle<Counter>;
+using DistributionHandle = StatHandle<Distribution>;
 
 } // namespace ticsim
 

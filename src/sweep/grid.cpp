@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "harness/scenario.hpp"
 
@@ -245,7 +246,9 @@ Cell::label() const
 std::vector<Cell>
 GridSpec::cells() const
 {
-    std::vector<Cell> out;
+    // Each cell is keyed by its JobId once: computing one rebuilds the
+    // canonical string and hashes it, too costly for every comparison.
+    std::vector<std::pair<std::uint64_t, Cell>> keyed;
     std::unordered_set<std::uint64_t> seen;
     for (const auto &app : apps) {
         for (const auto &rt : runtimes) {
@@ -275,8 +278,9 @@ GridSpec::cells() const
                                     SupplyKind::Continuous, 0.0, 1.0};
                                 c.capUf = cap;
                             }
-                            if (seen.insert(c.jobId()).second)
-                                out.push_back(std::move(c));
+                            const std::uint64_t id = c.jobId();
+                            if (seen.insert(id).second)
+                                keyed.emplace_back(id, std::move(c));
                         }
                       }
                     }
@@ -284,14 +288,16 @@ GridSpec::cells() const
             }
         }
     }
-    std::sort(out.begin(), out.end(),
-              [](const Cell &a, const Cell &b) {
-                  const std::uint64_t ia = a.jobId();
-                  const std::uint64_t ib = b.jobId();
-                  if (ia != ib)
-                      return ia < ib;
-                  return a.seed < b.seed;
+    std::sort(keyed.begin(), keyed.end(),
+              [](const auto &a, const auto &b) {
+                  if (a.first != b.first)
+                      return a.first < b.first;
+                  return a.second.seed < b.second.seed;
               });
+    std::vector<Cell> out;
+    out.reserve(keyed.size());
+    for (auto &kc : keyed)
+        out.push_back(std::move(kc.second));
     return out;
 }
 

@@ -9,7 +9,8 @@
 
 namespace ticsim::tics {
 
-TicsRuntime::TicsRuntime(TicsConfig cfg) : cfg_(cfg)
+TicsRuntime::TicsRuntime(TicsConfig cfg)
+    : cfg_(cfg), epochLogged_(cfg.undoLogEntries)
 {
     stats_ = StatGroup("tics");
 }
@@ -88,11 +89,11 @@ TicsRuntime::onPowerOn()
     }
     const auto applied = undoLog_->rollback();
     if (applied > 0) {
-        stats_.distribution("rollbackCyclesPerEntry")
-            .sample(static_cast<double>(rollbackCost) / applied);
+        rollbackCyclesPerEntry_.sample(static_cast<double>(rollbackCost) /
+                                       applied);
         b.events().emit(telemetry::EventKind::Rollback, b.now(), applied);
     }
-    stats_.counter("rollbackEntries") += applied;
+    rollbackEntries_ += applied;
     undoLog_->clear();
     epochLogged_.clear();
 
@@ -112,14 +113,13 @@ TicsRuntime::onPowerOn()
     mem::traceSideEvent(mem::SideEventKind::BootRestore, "tics");
     const Cycles restoreCost = device::CostModel::linear(
         costs.restoreLogic, costs.restorePerByte, cfg_.segmentBytes);
-    stats_.distribution("restoreCycles")
-        .sample(static_cast<double>(restoreCost));
+    restoreCycles_.sample(static_cast<double>(restoreCost));
     if (!b.chargeSys(restoreCost))
         return false;
     restoreStackImage(*slot);
     seg_ = slot->seg;
     lastCkptTrue_ = b.now();
-    ++stats_.counter("restores");
+    ++restores_;
     b.events().emit(telemetry::EventKind::Restore, b.now());
     b.ctx().prepareResume(slot->regs);
     return true;
@@ -130,7 +130,7 @@ TicsRuntime::noteCheckpoint(CkptCause cause)
 {
     ++ckptByCause_[static_cast<int>(cause)];
     ++ckptTotal_;
-    ++stats_.counter("checkpoints");
+    ++checkpoints_;
 }
 
 bool
@@ -148,8 +148,7 @@ TicsRuntime::doCheckpoint(CkptCause cause)
     // counts and death times match the unsplit model exactly.
     const Cycles ckptCost = device::CostModel::linear(
         costs.ckptLogic, costs.ckptPerByte, cfg_.segmentBytes);
-    stats_.distribution("ckptCycles").sample(
-        static_cast<double>(ckptCost));
+    ckptCycles_.sample(static_cast<double>(ckptCost));
     mem::traceSideEvent(mem::SideEventKind::CkptCommitStart, "tics");
     b.charge(ckptCost - ckptCost / 2);
 
@@ -191,7 +190,7 @@ TicsRuntime::frameEnter(std::uint16_t modeledBytes)
     b.charge(costs.frameCheck);
     const SegAction a = seg_.frameEnter(modeledBytes);
     if (a.grew) {
-        ++stats_.counter("stackGrows");
+        ++stackGrows_;
         b.charge(costs.stackGrow);
     }
 }
@@ -203,7 +202,7 @@ TicsRuntime::frameExit()
     const auto &costs = b.costs();
     const SegAction a = seg_.frameExit();
     if (a.shrunk) {
-        ++stats_.counter("stackShrinks");
+        ++stackShrinks_;
         b.charge(costs.stackShrink);
     }
     if (a.forceCheckpoint) {
@@ -261,7 +260,7 @@ TicsRuntime::triggerPoint()
         endAtomic(/*checkpoint=*/true);
         inIsr_ = false;
         ++isrServiced_;
-        ++stats_.counter("interrupts");
+        ++interrupts_;
     }
     if (deferredCheckpoint_ || policyWantsCheckpoint()) {
         doCheckpoint(deferredCheckpoint_ ? CkptCause::Shrink
@@ -302,16 +301,15 @@ TicsRuntime::preWrite(void *hostAddr, std::uint32_t bytes)
             expiresLog_->append(hostAddr, bytes);
     }
 
-    const auto logged = epochLogged_.find(hostAddr);
-    if (logged != epochLogged_.end() && logged->second >= bytes) {
-        ++stats_.counter("undoDedupHits");
+    if (epochLogged_.covers(hostAddr, bytes)) {
+        ++undoDedupHits_;
         return; // already versioned since the last commit
     }
 
     if (undoLog_->wouldOverflow(bytes)) {
         // Forced checkpoint to drain the log and guarantee progress.
         if (atomicDepth_ > 0) {
-            ++stats_.counter("atomicityBreaks");
+            ++atomicityBreaks_;
             warn("tics: undo log overflow inside an atomic block; "
                  "forcing a checkpoint (atomicity weakened)");
         }
@@ -321,9 +319,9 @@ TicsRuntime::preWrite(void *hostAddr, std::uint32_t bytes)
     b.charge(device::CostModel::linear(costs.undoLogBase,
                                        costs.undoLogPerByte, bytes));
     undoLog_->append(hostAddr, bytes);
-    epochLogged_[hostAddr] = bytes;
-    ++stats_.counter("undoAppends");
-    stats_.counter("undoBytes") += bytes;
+    epochLogged_.set(hostAddr, bytes);
+    ++undoAppends_;
+    undoBytes_ += bytes;
 }
 
 TimeNs
@@ -369,7 +367,7 @@ TicsRuntime::expiresRollback()
         costs.rollbackPerByte *
         static_cast<double>(expiresLog_->bytesSince(0)));
     board_->charge(cost);
-    stats_.counter("expiresRollbacks") += expiresLog_->rollback();
+    expiresRollbacks_ += expiresLog_->rollback();
     expiresLog_->clear();
 }
 
@@ -423,11 +421,7 @@ TicsRuntime::saveState(StateWriter &w) const
     w.put(ckptTotal_);
     w.put(undoLog_->cursor());
     w.put(expiresLog_->cursor());
-    w.put(static_cast<std::uint64_t>(epochLogged_.size()));
-    for (const auto &[p, bytes] : epochLogged_) {
-        w.put(reinterpret_cast<std::uintptr_t>(p));
-        w.put(bytes);
-    }
+    epochLogged_.saveState(w);
     area_->saveHostState(w);
 }
 
@@ -449,12 +443,7 @@ TicsRuntime::loadState(StateReader &r)
     ckptTotal_ = r.get<std::uint64_t>();
     undoLog_->setCursor(r.get<UndoLog::Cursor>());
     expiresLog_->setCursor(r.get<UndoLog::Cursor>());
-    epochLogged_.clear();
-    const auto n = r.get<std::uint64_t>();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        auto *p = reinterpret_cast<void *>(r.get<std::uintptr_t>());
-        epochLogged_[p] = r.get<std::uint32_t>();
-    }
+    epochLogged_.loadState(r);
     area_->loadHostState(r);
 }
 

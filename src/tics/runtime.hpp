@@ -22,13 +22,13 @@
 #ifndef TICSIM_TICS_RUNTIME_HPP
 #define TICSIM_TICS_RUNTIME_HPP
 
-#include <unordered_map>
 #include <vector>
 
 #include "board/board.hpp"
 #include "board/runtime.hpp"
 #include "tics/checkpoint_area.hpp"
 #include "tics/config.hpp"
+#include "tics/epoch_set.hpp"
 #include "tics/segmentation.hpp"
 #include "tics/undo_log.hpp"
 
@@ -160,7 +160,7 @@ class TicsRuntime : public board::Runtime, private mem::MemHooks
 
     /** Locations already undo-logged since the last commit, with the
      *  widest extent logged (re-log on a wider write). */
-    std::unordered_map<void *, std::uint32_t> epochLogged_;
+    EpochSet epochLogged_;
 
     std::uint32_t atomicDepth_ = 0;
     bool deferredCheckpoint_ = false;
@@ -180,6 +180,22 @@ class TicsRuntime : public board::Runtime, private mem::MemHooks
 
     std::uint64_t ckptByCause_[8] = {};
     std::uint64_t ckptTotal_ = 0;
+
+    DistributionHandle rollbackCyclesPerEntry_{stats_,
+                                               "rollbackCyclesPerEntry"};
+    CounterHandle rollbackEntries_{stats_, "rollbackEntries"};
+    DistributionHandle restoreCycles_{stats_, "restoreCycles"};
+    CounterHandle restores_{stats_, "restores"};
+    CounterHandle checkpoints_{stats_, "checkpoints"};
+    DistributionHandle ckptCycles_{stats_, "ckptCycles"};
+    CounterHandle stackGrows_{stats_, "stackGrows"};
+    CounterHandle stackShrinks_{stats_, "stackShrinks"};
+    CounterHandle interrupts_{stats_, "interrupts"};
+    CounterHandle undoDedupHits_{stats_, "undoDedupHits"};
+    CounterHandle atomicityBreaks_{stats_, "atomicityBreaks"};
+    CounterHandle undoAppends_{stats_, "undoAppends"};
+    CounterHandle undoBytes_{stats_, "undoBytes"};
+    CounterHandle expiresRollbacks_{stats_, "expiresRollbacks"};
 };
 
 } // namespace ticsim::tics

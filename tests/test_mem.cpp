@@ -47,17 +47,6 @@ TEST(NvRam, HostPointerRoundTrip)
     EXPECT_FALSE(ram.contains(&onStack));
 }
 
-TEST(NvRam, TrafficAccounting)
-{
-    NvRam ram(256);
-    ram.accountWrite(10);
-    ram.accountWrite(6);
-    ram.accountRead(4);
-    EXPECT_EQ(ram.stats().counterValue("bytesWritten"), 16u);
-    EXPECT_EQ(ram.stats().counterValue("writes"), 2u);
-    EXPECT_EQ(ram.stats().counterValue("reads"), 1u);
-}
-
 namespace {
 
 /** Recording hooks for interception tests. */

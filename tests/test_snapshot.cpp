@@ -294,6 +294,80 @@ TEST(SnapshotRoundTrip, RepeatedRestoreFromOneSnapshotIsIdempotent)
     expectSameRun(first, third, "second replay");
 }
 
+TEST(SnapshotRoundTrip, RestoreOnPatternPowerDropsTheDeathHorizon)
+{
+    // The recording run ends many on-windows after the snapshot, with
+    // the supply's death horizon at a late window's end. After the
+    // restore, time is back in an early window: a horizon kept across
+    // the restore would let charges run through that window's end.
+    fault::CampaignConfig cfg = smallConfig();
+    cfg.bc.iterations = 30;
+    const fault::PairSpec spec = findPair(cfg, "BC", "TICS");
+    board::BoardConfig bcfg;
+    bcfg.seed = cfg.seed;
+    board::Board board(
+        bcfg, std::make_unique<energy::PatternSupply>(16 * kNsPerMs, 0.5),
+        std::make_unique<timekeeper::PerfectTimekeeper>());
+    SnapAtEvent sink(board, 2);
+    mem::ScopedSink as(&sink);
+    harness::ScenarioInstance env = spec.make(board);
+    mem::WriteJournal journal;
+    mem::ScopedWriteJournal sj(&journal);
+
+    board.beginRun(*env.runtime, env.entry, cfg.budget);
+    const RunTrace first = traceOf(board, env, board.continueRun());
+    ASSERT_TRUE(sink.captured());
+    ASSERT_TRUE(first.res.completed);
+    ASSERT_GT(first.res.reboots, 3u);
+    board.restore(sink.snap());
+    const RunTrace second = traceOf(board, env, board.continueRun());
+    expectSameRun(first, second, "restored on pattern power");
+}
+
+TEST(StatHandle, RestoreKeepsEveryHandleOnItsKey)
+{
+    // The runtimes' stat handles resolve during the recording run; the
+    // restore then copy-assigns an older group over theirs, one that
+    // lacks counters created after the snapshot. The resumed run must
+    // still bump the right keys: its stats equal the recording run's.
+    const fault::CampaignConfig cfg = smallConfig();
+    for (const char *rt : {"TICS", "Chinchilla-like"}) {
+        SCOPED_TRACE(rt);
+        const fault::PairSpec spec = findPair(cfg, "BC", rt);
+        board::BoardConfig bcfg;
+        bcfg.seed = cfg.seed;
+        board::Board board(
+            bcfg, std::make_unique<energy::ContinuousSupply>(),
+            std::make_unique<timekeeper::PerfectTimekeeper>());
+        SnapAtEvent sink(board, 2);
+        mem::ScopedSink as(&sink);
+        harness::ScenarioInstance env = spec.make(board);
+        mem::WriteJournal journal;
+        mem::ScopedWriteJournal sj(&journal);
+
+        board.beginRun(*env.runtime, env.entry, cfg.budget);
+        ASSERT_TRUE(board.continueRun().completed);
+        ASSERT_TRUE(sink.captured());
+        const StatGroup first = env.runtime->stats();
+        bool dropsOne = false;
+        for (const auto &[name, c] : first.counters())
+            dropsOne |= !sink.snap().runtimeStats.hasCounter(name);
+        EXPECT_TRUE(dropsOne) << "the snapshot predates no counter";
+
+        board.restore(sink.snap());
+        ASSERT_TRUE(board.continueRun().completed);
+        const StatGroup &again = env.runtime->stats();
+        ASSERT_EQ(again.counters().size(), first.counters().size());
+        for (const auto &[name, c] : first.counters())
+            EXPECT_EQ(again.counterValue(name), c.value()) << name;
+        ASSERT_EQ(again.distributions().size(),
+                  first.distributions().size());
+        for (const auto &[name, d] : first.distributions())
+            EXPECT_EQ(again.distributions().at(name).encode(), d.encode())
+                << name;
+    }
+}
+
 // ---- fork determinism and isolation ----------------------------------------
 
 TEST(ForkDeterminism, ConcurrentExplorationsShareNoState)
