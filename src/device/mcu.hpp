@@ -9,7 +9,6 @@
 #define TICSIM_DEVICE_MCU_HPP
 
 #include "device/costs.hpp"
-#include "support/stats.hpp"
 #include "support/units.hpp"
 #include "telemetry/phase.hpp"
 
@@ -23,7 +22,7 @@ class Mcu
 {
   public:
     explicit Mcu(CostModel costs = CostModel())
-        : costs_(costs), cycleNs_(costs.cycleTimeNs()), stats_("mcu")
+        : costs_(costs), cycleNs_(costs.cycleTimeNs())
     {
     }
 
@@ -74,13 +73,10 @@ class Mcu
             profiler_->resetCycles();
     }
 
-    StatGroup &stats() { return stats_; }
-
   private:
     CostModel costs_;
     TimeNs cycleNs_;
     Cycles cycles_ = 0;
-    StatGroup stats_;
     telemetry::PhaseProfiler *profiler_ = nullptr;
 };
 

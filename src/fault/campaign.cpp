@@ -559,12 +559,8 @@ runCampaign(const CampaignConfig &cfg)
             return;
         }
         const SubjectTask &t = tasks[violating[vi]];
-        shrunk[vi] =
-            cfg.forkShrink
-                ? forkShrinkViolation(cfg, pairs[t.pi], refs[t.pi],
-                                      schedules[t.pi][t.si], t.cls)
-                : shrinkViolationFromBoot(cfg, pairs[t.pi], refs[t.pi],
-                                          schedules[t.pi][t.si], t.cls);
+        shrunk[vi] = forkShrinkViolation(cfg, pairs[t.pi], refs[t.pi],
+                                         schedules[t.pi][t.si], t.cls);
     });
 
     // Phase 5 (serial): assemble in (pair, schedule) order.

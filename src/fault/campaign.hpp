@@ -61,10 +61,6 @@ struct CampaignConfig {
      * cap does not fire.
      */
     unsigned jobs = 1;
-    /** Minimize violations by forking from a snapshot instead of
-     *  re-running every ddmin candidate from boot (same minimal plans,
-     *  fewer simulated cycles; see fault/explore.hpp). */
-    bool forkShrink = false;
     apps::BcParams bc{};
     apps::CuckooParams cuckoo{};
 

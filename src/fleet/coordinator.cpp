@@ -83,7 +83,7 @@ spawnWorker(const FleetConfig &cfg, const std::string &workerBin,
                 static_cast<char *>(nullptr));
         // exec failed: report on stderr and die; the parent sees EOF
         // without a done frame and handles it as a crash.
-        std::fprintf(stderr, "ticsfleet: cannot exec '%s': %s\n",
+        std::fprintf(stderr, "ticssweep: cannot exec '%s': %s\n",
                      workerBin.c_str(), std::strerror(errno));
         ::_exit(127);
     }
@@ -131,7 +131,7 @@ spawnWorker(const FleetConfig &cfg, const std::string &workerBin,
     if (!wrote) {
         // The child died before reading the hello; let the normal
         // EOF path classify it as a crash.
-        warn("ticsfleet: short hello write to shard %zu", shard);
+        warn("ticssweep: short hello write to shard %zu", shard);
     }
     return true;
 }
@@ -159,53 +159,14 @@ killWorker(WorkerProc &proc)
     reap(proc);
 }
 
-FleetResult
-runInProcess(const FleetConfig &cfg)
-{
-    FleetResult out;
-    out.sweep = sweep::runSweep(cfg.sweep);
-    out.complete = true;
-    out.fleet.workersRequested = 0;
-    out.fleet.cellsTotal = out.sweep.cells.size();
-    out.fleet.cellsCompleted = out.sweep.cells.size();
-    out.fleet.complete = true;
-    out.fleet.wallMs = out.sweep.wallMs;
-    std::set<std::string> envs;
-    for (const auto &cell : out.sweep.cells)
-        if (!cell.cell.env.empty())
-            envs.insert(cell.cell.env);
-    out.fleet.envs.assign(envs.begin(), envs.end());
-    return out;
-}
-
 } // namespace
-
-std::string
-defaultWorkerBin(const char *argv0)
-{
-    // Prefer the running image's real directory (argv[0] may be a
-    // bare name found via PATH).
-    char exe[4096];
-    const ssize_t n =
-        ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    std::string dir;
-    if (n > 0) {
-        exe[n] = '\0';
-        dir = exe;
-    } else if (argv0) {
-        dir = argv0;
-    }
-    const auto slash = dir.rfind('/');
-    if (slash == std::string::npos)
-        return "ticssweep";
-    return dir.substr(0, slash) + "/ticssweep";
-}
 
 FleetResult
 runFleet(const FleetConfig &cfg)
 {
     if (cfg.workers == 0)
-        return runInProcess(cfg);
+        fatal("runFleet: a fleet needs at least one worker; run an "
+              "in-process grid through sweep::runSweep");
 
     // A dead worker must not kill the coordinator through its pipe.
     ::signal(SIGPIPE, SIG_IGN);
@@ -241,8 +202,7 @@ runFleet(const FleetConfig &cfg)
     }
 
     const std::string workerBin =
-        cfg.workerBin.empty() ? defaultWorkerBin(nullptr)
-                              : cfg.workerBin;
+        cfg.workerBin.empty() ? "/proc/self/exe" : cfg.workerBin;
     const auto wallStart = Clock::now();
     const bool haveWall = cfg.wallBudgetS > 0.0;
     const auto wallDeadline =
@@ -275,7 +235,7 @@ runFleet(const FleetConfig &cfg)
             static_cast<std::size_t>(cfg.killWorkerShard) == shard;
         if (!spawnWorker(cfg, workerBin, shard, indices, chaos,
                          remainingMsNow(), procs[shard])) {
-            warn("ticsfleet: cannot spawn worker for shard %zu",
+            warn("ticssweep: cannot spawn worker for shard %zu",
                  shard);
             procs[shard].exited = true;
             return;
@@ -315,13 +275,13 @@ runFleet(const FleetConfig &cfg)
             ++retriesUsed[s];
             ++fleet.retries;
             fleet.workers[s].assigned += missing.size();
-            warn("ticsfleet: shard %zu %s; retry %u/%u over %zu "
+            warn("ticssweep: shard %zu %s; retry %u/%u over %zu "
                  "remaining cell(s)",
                  s, timedOut ? "missed heartbeats" : "crashed",
                  retriesUsed[s], cfg.maxRetries, missing.size());
             launch(s, missing, /*firstAttempt=*/false);
         } else {
-            warn("ticsfleet: shard %zu abandoned with %zu cell(s) "
+            warn("ticssweep: shard %zu abandoned with %zu cell(s) "
                  "missing",
                  s, missing.size());
         }
@@ -375,7 +335,7 @@ runFleet(const FleetConfig &cfg)
             break;
         }
         if (haveWall && Clock::now() >= wallDeadline) {
-            warn("ticsfleet: wall budget exhausted with %zu/%zu "
+            warn("ticssweep: wall budget exhausted with %zu/%zu "
                  "cells done",
                  filledCount, cells.size());
             for (auto &p : procs)
@@ -425,7 +385,7 @@ runFleet(const FleetConfig &cfg)
                     if (i >= cells.size() ||
                         frame["canonical"] !=
                             cells[i].canonical()) {
-                        warn("ticsfleet: shard %zu sent a result "
+                        warn("ticssweep: shard %zu sent a result "
                              "for an unknown cell; dropping it",
                              s);
                         continue;
@@ -439,7 +399,7 @@ runFleet(const FleetConfig &cfg)
                     if (!cellOut.result.decode(frame["result"]) ||
                         !cellOut.result.simMs.decode(
                             frame["dist"])) {
-                        warn("ticsfleet: shard %zu sent a "
+                        warn("ticssweep: shard %zu sent a "
                              "malformed result; dropping it",
                              s);
                         cellOut.result = sweep::CellResult{};
@@ -454,14 +414,14 @@ runFleet(const FleetConfig &cfg)
                 } else if (type == "done") {
                     p.doneFrame = true;
                 } else if (type == "error") {
-                    warn("ticsfleet: shard %zu error: %s", s,
+                    warn("ticssweep: shard %zu error: %s", s,
                          frame["message"].c_str());
                 }
             }
             if (!err.empty() && !eof) {
                 // A poisoned stream cannot recover; treat the worker
                 // as crashed right away.
-                warn("ticsfleet: shard %zu protocol error: %s", s,
+                warn("ticssweep: shard %zu protocol error: %s", s,
                      err.c_str());
                 killWorker(p);
                 attemptEnded(s, /*timedOut=*/false);

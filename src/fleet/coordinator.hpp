@@ -1,8 +1,9 @@
 /**
  * @file
- * The fleet coordinator: shards a GridSpec across N re-exec'd
- * `ticssweep --worker` processes and merges their streamed results
- * into the same SweepResult the in-process engine produces.
+ * The fleet coordinator behind `ticssweep --workers N`: shards a
+ * GridSpec across N re-exec'd `ticssweep --worker` processes and
+ * merges their streamed results into the same SweepResult the
+ * in-process engine produces.
  *
  * Determinism argument (see DESIGN.md "Fleet-scale orchestration"):
  *  - both sides enumerate cells with GridSpec::cells(), whose order
@@ -15,9 +16,9 @@
  *    encodings;
  *  - aggregation reuses sweep::aggregateOutcomes() over the index-
  *    ordered outcomes.
- * Hence a fleet run is byte-identical to a serial run at any worker
- * count, including after a crashed worker's cells are re-run — a
- * duplicate result for a cell is ignored (first wins) because
+ * Hence a fleet run is byte-identical to an in-process run at any
+ * worker count, including after a crashed worker's cells are re-run —
+ * a duplicate result for a cell is ignored (first wins) because
  * determinism makes every copy identical.
  *
  * Robustness: per-worker heartbeat timeouts, crash detection (EOF
@@ -39,10 +40,13 @@ namespace ticsim::fleet {
 
 struct FleetConfig {
     sweep::SweepConfig sweep;
-    /** Worker processes; 0 = run in-process (the literal ticssweep
-     *  engine), which is what CI byte-compares against. */
+    /** Worker processes; must be >= 1 (an in-process grid runs
+     *  through sweep::runSweep). */
     unsigned workers = 4;
-    /** Worker executable; "" = "ticssweep" beside this binary. */
+    /** Worker executable; "" = re-exec this process's own image
+     *  (/proc/self/exe), which must then serve `--worker` as ticssweep
+     *  does. Tests, which run inside another binary, point it at
+     *  ticssweep. */
     std::string workerBin;
     /** Wall-clock cap in seconds for the whole run, forwarded to
      *  every worker as its own deadline; 0 = none. */
@@ -66,11 +70,9 @@ struct FleetResult {
     bool complete = false;
 };
 
-/** Run the grid across worker processes per @p cfg. */
+/** Run the grid across worker processes per @p cfg; fatal() when
+ *  cfg.workers is 0. */
 FleetResult runFleet(const FleetConfig &cfg);
-
-/** Default worker binary: "ticssweep" in @p argv0's directory. */
-std::string defaultWorkerBin(const char *argv0);
 
 } // namespace ticsim::fleet
 

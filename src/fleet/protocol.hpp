@@ -1,8 +1,8 @@
 /**
  * @file
- * Wire protocol between the ticsfleet coordinator and its re-exec'd
- * `ticssweep --worker` children: length-prefixed newline-JSON frames
- * over the worker's stdin/stdout pipes.
+ * Wire protocol between the `ticssweep --workers N` coordinator and
+ * its re-exec'd `ticssweep --worker` children: length-prefixed
+ * newline-JSON frames over the worker's stdin/stdout pipes.
  *
  * A frame is one flat JSON object whose values are all strings:
  *

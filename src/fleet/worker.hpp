@@ -1,6 +1,7 @@
 /**
  * @file
- * The fleet worker: the process entry behind `ticssweep --worker`.
+ * The fleet worker: the process entry behind `ticssweep --worker`,
+ * which the `ticssweep --workers N` coordinator re-execs.
  *
  * A worker reads one hello frame from stdin, re-enumerates the grid
  * from the shipped spec text (both sides share GridSpec::cells()'s

@@ -346,11 +346,12 @@ struct FleetWorkerEntry {
 };
 
 /**
- * The `fleet` section (written by ticsfleet; bumps the report to
- * version 8): the multi-process orchestration account — worker/retry/
- * failure bookkeeping beside (never inside) the deterministic grid
- * section. Only ticsfleet calls setFleet(), so every other bench's
- * document stays at version <= 7 byte-for-byte.
+ * The `fleet` section (written by `ticssweep --workers N`; bumps the
+ * report to version 8): the multi-process orchestration account —
+ * worker/retry/failure bookkeeping beside (never inside) the
+ * deterministic grid section. Only a non-`--stable` fleet run calls
+ * setFleet(), so every other document, in-process ticssweep's
+ * included, stays at version <= 7 byte-for-byte.
  */
 struct FleetSection {
     std::uint64_t workersRequested = 0;

@@ -167,15 +167,19 @@ bool
 Distribution::decode(const std::string &text)
 {
     reset();
+    // count_ and the bucket tokens are unsigned: >> and stoull would
+    // wrap "-3" to 2^64 - 3, so a '-' there is malformed.
     std::istringstream is(text);
-    if (!(is >> count_ >> sum_ >> mean_ >> m2_ >> min_ >> max_)) {
+    if ((is >> std::ws).peek() == '-' ||
+        !(is >> count_ >> sum_ >> mean_ >> m2_ >> min_ >> max_)) {
         reset();
         return false;
     }
     std::string tok;
     while (is >> tok) {
         const auto colon = tok.find(':');
-        if (colon == std::string::npos) {
+        if (colon == std::string::npos ||
+            tok.find('-') != std::string::npos) {
             reset();
             return false;
         }

@@ -27,6 +27,9 @@ bool
 CellResult::decode(const std::string &text)
 {
     *this = CellResult{};
+    // Every field is unsigned, and >> would wrap "-3" to 2^64 - 3.
+    if (text.find('-') != std::string::npos)
+        return false;
     std::istringstream is(text);
     int c = 0;
     int s = 0;

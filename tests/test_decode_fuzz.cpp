@@ -8,8 +8,9 @@
  * or oversized bucket tokens. Every mutant must either fail to decode
  * or decode to a value that survives one re-encode unchanged (a fixed
  * point), so a cache entry can never decode to something it would not
- * write back. The budget is a fixed mutant count per seed, well under
- * a second (ASan included).
+ * write back. A negative value on an unsigned field must fail to
+ * decode; hand-picked cases pin that directly. The budget is a fixed
+ * mutant count per seed, well under a second (ASan included).
  */
 
 #include <gtest/gtest.h>
@@ -172,4 +173,42 @@ TEST(DecodeFuzz, CellResultDecodeFailsOrReachesAFixedPoint)
     }
     EXPECT_GT(decoded, total / 10);
     EXPECT_LT(decoded, total);
+}
+
+TEST(DecodeFuzz, NegativeUnsignedFieldsAreRejected)
+{
+    // istream >> uint64_t and stoull both accept a leading '-' and
+    // wrap it ("-3" reads as 2^64 - 3); the decoders refuse it on
+    // every unsigned field and reset to the empty value.
+    for (const char *text : {
+             "-3 9 3 0 3 3",      // header count
+             "3 9 3 0 3 3 5:-3",  // bucket count
+             "3 9 3 0 3 3 -0:3",  // bucket index
+             "-0 0 0 0 0 0",      // even a negative zero
+         }) {
+        Distribution d;
+        EXPECT_FALSE(d.decode(text)) << text;
+        EXPECT_EQ(d.encode(), Distribution().encode()) << text;
+    }
+    // Negative doubles in the moments are legitimate values.
+    Distribution neg;
+    neg.sample(-2.5);
+    Distribution back;
+    EXPECT_TRUE(back.decode(neg.encode())) << neg.encode();
+    EXPECT_EQ(back.encode(), neg.encode());
+
+    for (const char *text : {
+             "1 0 1 -2 100 5000 4000",  // reboots
+             "1 0 1 2 -100 5000 4000",  // cycles
+             "1 0 1 2 100 -5000 4000",  // elapsed ns
+             "1 0 1 2 100 5000 -4000",  // on-time ns
+             "-1 0 1 2 100 5000 4000",  // a flag
+         }) {
+        sweep::CellResult r;
+        EXPECT_FALSE(r.decode(text)) << text;
+        EXPECT_EQ(r.encode(), sweep::CellResult{}.encode()) << text;
+    }
+    sweep::CellResult ok;
+    EXPECT_TRUE(ok.decode("1 0 1 2 100 5000 4000"));
+    EXPECT_EQ(ok.reboots, 2u);
 }

@@ -1,18 +1,23 @@
 /**
  * @file
- * Tests for the ticsfleet subsystem: the length-prefixed frame
- * protocol (round-trips, partial feeds, poisoning), the
- * formatSpec/parseGridText spec shipping contract, the env axis'
- * canonical-string stability, cross-process cache publication, and —
- * when the ticssweep binary is available — an end-to-end
- * coordinator/worker run byte-compared against the in-process engine,
- * including the deterministic crash-retry chaos path.
+ * Tests for the fleet subsystem behind `ticssweep --workers N`: the
+ * length-prefixed frame protocol (round-trips, partial feeds,
+ * poisoning), the formatSpec/parseGridText spec shipping contract, the
+ * env axis' canonical-string stability, cross-process cache
+ * publication, and — when the ticssweep binary is available — an
+ * end-to-end coordinator/worker run byte-compared against the
+ * in-process engine, including the deterministic crash-retry chaos
+ * path, and the ticssweep CLI's in-process/fleet byte identity and
+ * mode-flag checks.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -350,6 +355,16 @@ TEST(FleetE2E, CrashedWorkerIsRetriedWithIdenticalResults)
     expectSameSweep(result.sweep, serial);
 }
 
+TEST(FleetDeathTest, ZeroWorkersIsFatal)
+{
+    // An in-process grid runs through sweep::runSweep; runFleet has no
+    // silent in-process mode to fall back on.
+    fleet::FleetConfig cfg = e2eConfig();
+    cfg.workers = 0;
+    EXPECT_EXIT(fleet::runFleet(cfg), testing::ExitedWithCode(1),
+                "at least one worker");
+}
+
 TEST(FleetE2E, MissingWorkerBinaryReportsIncomplete)
 {
     fleet::FleetConfig cfg = e2eConfig();
@@ -360,6 +375,66 @@ TEST(FleetE2E, MissingWorkerBinaryReportsIncomplete)
     EXPECT_FALSE(result.complete);
     EXPECT_EQ(result.fleet.cellsCompleted, 0u);
     EXPECT_GE(result.fleet.crashes, 1u);
+}
+
+/** Run ticssweep with @p args, output discarded; @return its exit
+ *  status (-1 if it did not exit normally). */
+int
+runTicssweep(const std::string &args)
+{
+    const std::string cmd = std::string("'") + TICSIM_TICSSWEEP_BIN +
+                            "' " + args + " > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+TEST(FleetE2E, CliWorkerCountNeverChangesAByte)
+{
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("ticsim-fleet-cli-" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const std::string grid = "--apps BC --runtimes TICS,plain-C "
+                             "--seeds 11,12 --no-cache --stable --json ";
+    const std::string inProcess = (dir / "inprocess.json").string();
+    const std::string workers = (dir / "workers2.json").string();
+    const std::string chaos = (dir / "chaos.json").string();
+
+    ASSERT_EQ(runTicssweep(grid + inProcess), 0);
+    ASSERT_EQ(runTicssweep(grid + workers + " --workers 2"), 0);
+    ASSERT_EQ(runTicssweep(grid + chaos +
+                           " --workers 2 --kill-worker 0"
+                           " --require-complete"),
+              0);
+
+    const std::string expected = slurp(inProcess);
+    EXPECT_NE(expected.find("\"cells\""), std::string::npos);
+    EXPECT_EQ(slurp(workers), expected);
+    EXPECT_EQ(slurp(chaos), expected);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(FleetE2E, CliRejectsFlagsOfTheOtherMode)
+{
+    const std::string grid = "--apps BC --runtimes plain-C --seeds 11 "
+                             "--no-cache ";
+    // A wall cap, or any other fleet knob, without a fleet to apply to.
+    EXPECT_EQ(runTicssweep(grid + "--max-seconds 5"), 2);
+    EXPECT_EQ(runTicssweep(grid + "--require-complete --workers 0"), 2);
+    // Worker processes run their cells one at a time.
+    EXPECT_EQ(runTicssweep(grid + "--jobs 2 --workers 2"), 2);
+    // Each flag is accepted in its own mode.
+    EXPECT_EQ(runTicssweep(grid + "--max-seconds 60 --workers 1"), 0);
+    EXPECT_EQ(runTicssweep(grid + "--jobs 2"), 0);
 }
 
 #endif // TICSIM_TICSSWEEP_BIN

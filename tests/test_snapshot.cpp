@@ -529,26 +529,41 @@ TEST(ForkShrink, SameMinimalPlanAsFromBootButCheaper)
 
 TEST(ForkShrink, CampaignForkShrinkMatchesFromBootCampaign)
 {
-    // End to end: the sampling campaign run with fork-based shrinking
-    // must report exactly the same minimized schedules as the default
-    // from-boot shrinker.
+    // End to end: every minimized schedule the campaign (which shrinks
+    // by forking) reports must be the plan the from-boot reference
+    // shrinker finds for the same original schedule.
     fault::CampaignConfig cfg = smallConfig();
     cfg.randomSchedules = 2;
-    fault::CampaignConfig forked = cfg;
-    forked.forkShrink = true;
+    const fault::CampaignReport rep = fault::runCampaign(cfg);
+    EXPECT_TRUE(rep.ok());
 
-    const fault::CampaignReport a = fault::runCampaign(cfg);
-    const fault::CampaignReport b = fault::runCampaign(forked);
-    EXPECT_TRUE(a.ok());
-    EXPECT_TRUE(b.ok());
-    ASSERT_EQ(a.pairs.size(), b.pairs.size());
-    for (std::size_t i = 0; i < a.pairs.size(); ++i) {
-        ASSERT_EQ(a.pairs[i].found.size(), b.pairs[i].found.size())
-            << a.pairs[i].app << "/" << a.pairs[i].runtime;
-        for (std::size_t j = 0; j < a.pairs[i].found.size(); ++j)
-            EXPECT_EQ(a.pairs[i].found[j].plan,
-                      b.pairs[i].found[j].plan);
+    std::size_t checked = 0;
+    for (const fault::PairReport &pr : rep.pairs) {
+        if (pr.found.empty())
+            continue;
+        const fault::PairSpec spec = findPair(cfg, pr.app, pr.runtime);
+        const fault::PairRunOutcome ref =
+            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{}, true);
+        for (const fault::Violation &v : pr.found) {
+            fault::FaultPlan original;
+            std::string err;
+            ASSERT_TRUE(
+                fault::FaultPlan::parse(v.originalPlan, original, &err))
+                << v.originalPlan << ": " << err;
+            const fault::PairRunOutcome sub =
+                fault::runPairWithPlan(cfg, spec, original, false);
+            const fault::Classification cls =
+                fault::classifyOutcome(ref, sub);
+            ASSERT_FALSE(cls.kind.empty()) << v.originalPlan;
+            const fault::Violation fromBoot = fault::shrinkViolationFromBoot(
+                cfg, spec, ref, original, cls);
+            EXPECT_EQ(v.plan, fromBoot.plan)
+                << pr.app << "/" << pr.runtime << " " << v.originalPlan;
+            EXPECT_EQ(v.kind, fromBoot.kind) << v.originalPlan;
+            ++checked;
+        }
     }
+    EXPECT_GT(checked, 0u);
 }
 
 // ---- the bound replay reference on real arenas -----------------------------

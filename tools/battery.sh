@@ -8,9 +8,10 @@
 # BUILD_DIR is a configured and built tree (e.g. build/). Every --json
 # report runs at a fixed --jobs: BenchSession records only the owner
 # thread's runs, so a report's `runs` section depends on the job count
-# even though its findings do not. The ticssweep grid runs at --jobs 1
-# and --jobs 4, and the script fails if the two documents differ. Any
-# tool exiting nonzero fails the script.
+# even though its findings do not. The ticssweep grid runs at --jobs 1,
+# at --jobs 4 and over two worker processes (--workers 2), and the
+# script fails unless all three documents are identical. Any tool
+# exiting nonzero fails the script.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -46,8 +47,12 @@ grid=(--apps AR,BC,CF
     --json "$out/ticssweep.grid.json" > "$out/ticssweep.grid.txt"
 "$bin/ticssweep" "${grid[@]}" --jobs 4 \
     --json "$out/ticssweep.grid.jobs4.json" > /dev/null
-if ! cmp -s "$out/ticssweep.grid.json" "$out/ticssweep.grid.jobs4.json"; then
-    echo "battery: ticssweep --jobs 1 and --jobs 4 documents differ" >&2
-    exit 1
-fi
-rm "$out/ticssweep.grid.jobs4.json"
+"$bin/ticssweep" "${grid[@]}" --workers 2 \
+    --json "$out/ticssweep.grid.workers2.json" > /dev/null
+for run in jobs4 workers2; do
+    if ! cmp -s "$out/ticssweep.grid.json" "$out/ticssweep.grid.$run.json"; then
+        echo "battery: ticssweep --jobs 1 and $run documents differ" >&2
+        exit 1
+    fi
+    rm "$out/ticssweep.grid.$run.json"
+done

@@ -415,7 +415,7 @@ def validate_mc(mc):
 
 
 def validate_fleet(fleet, grid):
-    """The ticsfleet section's orchestration bookkeeping."""
+    """The fleet section: a ticssweep --workers run's bookkeeping."""
     total = fleet["cells_total"]
     done = fleet["cells_completed"]
     if done > total:
