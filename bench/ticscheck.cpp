@@ -18,6 +18,7 @@
 
 #include "analysis/checker.hpp"
 #include "harness/report.hpp"
+#include "support/parse.hpp"
 
 using namespace ticsim;
 
@@ -54,16 +55,17 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto count = [&](std::uint64_t max) {
+            return flagU64("ticscheck", arg, next(), max);
+        };
         if (std::strcmp(arg, "--period-ms") == 0) {
-            cfg.patternPeriod =
-                static_cast<TimeNs>(std::atoll(next())) * kNsPerMs;
+            cfg.patternPeriod = count(kMaxTimeNs / kNsPerMs) * kNsPerMs;
         } else if (std::strcmp(arg, "--on-fraction") == 0) {
-            cfg.patternOnFraction = std::atof(next());
+            cfg.patternOnFraction = flagDouble("ticscheck", arg, next());
         } else if (std::strcmp(arg, "--seed") == 0) {
-            cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
+            cfg.seed = count(UINT64_MAX);
         } else if (std::strcmp(arg, "--budget-s") == 0) {
-            cfg.budget =
-                static_cast<TimeNs>(std::atoll(next())) * kNsPerSec;
+            cfg.budget = count(kMaxTimeNs / kNsPerSec) * kNsPerSec;
         } else if (std::strcmp(arg, "--verbose") == 0) {
             verbose = true;
         } else {

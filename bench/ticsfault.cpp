@@ -21,6 +21,7 @@
 
 #include "fault/campaign.hpp"
 #include "harness/report.hpp"
+#include "support/parse.hpp"
 
 using namespace ticsim;
 
@@ -134,20 +135,22 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto count = [&](std::uint64_t max) {
+            return flagU64("ticsfault", arg, next(), max);
+        };
         if (std::strcmp(arg, "--campaign") == 0) {
             // The default mode; accepted for readable CI scripts.
         } else if (std::strcmp(arg, "--seed") == 0) {
-            cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
+            cfg.seed = count(UINT64_MAX);
         } else if (std::strcmp(arg, "--random") == 0) {
             cfg.randomSchedules =
-                static_cast<std::uint32_t>(std::atoi(next()));
+                static_cast<std::uint32_t>(count(UINT32_MAX));
         } else if (std::strcmp(arg, "--budget-s") == 0) {
-            cfg.budget =
-                static_cast<TimeNs>(std::atoll(next())) * kNsPerSec;
+            cfg.budget = count(kMaxTimeNs / kNsPerSec) * kNsPerSec;
         } else if (std::strcmp(arg, "--max-seconds") == 0) {
-            cfg.maxSeconds = std::atof(next());
+            cfg.maxSeconds = flagDouble("ticsfault", arg, next());
         } else if (std::strcmp(arg, "--jobs") == 0) {
-            cfg.jobs = static_cast<unsigned>(std::atoi(next()));
+            cfg.jobs = static_cast<unsigned>(count(kMaxJobs));
         } else if (std::strcmp(arg, "--replay") == 0) {
             replaySpec = next();
         } else if (std::strcmp(arg, "--patterns") == 0) {

@@ -26,10 +26,10 @@
 #include <fstream>
 #include <iostream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "baseline.hpp"
 #include "harness/report.hpp"
 #include "lint/analyzer.hpp"
 #include "lint/crossval.hpp"
@@ -81,49 +81,6 @@ crossvalKey(const std::string &app, const std::string &runtime,
             const lint::StaticFinding &f)
 {
     return app + "|" + runtime + "|" + f.rule + "|" + f.subject;
-}
-
-/** Collect the quoted strings of the named array member. Baselines
- *  are machine-written JSON whose strings carry no escapes, so a
- *  quoted-string scan between the marker and the closing bracket is
- *  exact (the idiom ticsverify's baseline reader established). */
-std::set<std::string>
-readBaselineArray(const std::string &text, const std::string &name)
-{
-    std::set<std::string> keys;
-    const std::string marker = "\"" + name + "\"";
-    std::size_t pos = text.find(marker);
-    if (pos == std::string::npos)
-        return keys;
-    pos = text.find('[', pos);
-    const std::size_t end = text.find(']', pos);
-    if (pos == std::string::npos || end == std::string::npos)
-        return keys;
-    while (true) {
-        const std::size_t open = text.find('"', pos);
-        if (open == std::string::npos || open > end)
-            break;
-        const std::size_t close = text.find('"', open + 1);
-        if (close == std::string::npos || close > end)
-            break;
-        keys.insert(text.substr(open + 1, close - open - 1));
-        pos = close + 1;
-    }
-    return keys;
-}
-
-std::string
-readWholeFile(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "ticslint: cannot open '%s'\n",
-                     path.c_str());
-        std::exit(2);
-    }
-    std::stringstream ss;
-    ss << is.rdbuf();
-    return ss.str();
 }
 
 } // namespace
@@ -339,8 +296,8 @@ main(int argc, char **argv)
 
     int rc = 0;
     if (!baselinePath.empty()) {
-        const std::string text = readWholeFile(baselinePath);
-        const auto known = readBaselineArray(text, "keys");
+        const std::string text = bench::readBaseline("ticslint", baselinePath);
+        const auto known = bench::baselineArray(text, "keys");
         std::size_t fresh = 0;
         for (const auto &rep : reports) {
             for (const auto &f : rep.findings) {
@@ -354,7 +311,7 @@ main(int argc, char **argv)
         }
         if (crossval) {
             const auto knownCv =
-                readBaselineArray(text, "crossval_keys");
+                bench::baselineArray(text, "crossval_keys");
             for (const auto &row : cv.rows) {
                 for (const auto &fp : row.extras) {
                     const std::string k =

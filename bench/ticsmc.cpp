@@ -31,6 +31,7 @@
 #include "fault/explore.hpp"
 #include "harness/report.hpp"
 #include "harness/scenario.hpp"
+#include "support/parse.hpp"
 
 using namespace ticsim;
 
@@ -96,23 +97,23 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto count = [&](std::uint64_t max) {
+            return flagU64("ticsmc", arg, next(), max);
+        };
         if (std::strcmp(arg, "--app") == 0) {
             apps.emplace_back(next());
         } else if (std::strcmp(arg, "--runtime") == 0) {
             runtimes.emplace_back(next());
         } else if (std::strcmp(arg, "--max-faults") == 0) {
-            cfg.maxFaults = static_cast<std::uint32_t>(std::atoi(next()));
+            cfg.maxFaults = static_cast<std::uint32_t>(count(UINT32_MAX));
         } else if (std::strcmp(arg, "--max-boundaries") == 0) {
-            cfg.maxDecisions =
-                static_cast<std::uint64_t>(std::atoll(next()));
+            cfg.maxDecisions = count(UINT64_MAX);
         } else if (std::strcmp(arg, "--jobs") == 0) {
-            cfg.jobs = static_cast<unsigned>(std::atoi(next()));
+            cfg.jobs = static_cast<unsigned>(count(kMaxJobs));
         } else if (std::strcmp(arg, "--seed") == 0) {
-            cfg.base.seed =
-                static_cast<std::uint64_t>(std::atoll(next()));
+            cfg.base.seed = count(UINT64_MAX);
         } else if (std::strcmp(arg, "--budget-s") == 0) {
-            cfg.base.budget =
-                static_cast<TimeNs>(std::atoll(next())) * kNsPerSec;
+            cfg.base.budget = count(kMaxTimeNs / kNsPerSec) * kNsPerSec;
         } else if (std::strcmp(arg, "--require-exhausted") == 0) {
             requireExhausted = true;
         } else if (std::strcmp(arg, "--verbose") == 0) {

@@ -43,6 +43,7 @@
 #include "perf/counters.hpp"
 #include "perf/host_profiler.hpp"
 #include "support/logging.hpp"
+#include "support/parse.hpp"
 #include "support/table.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/sweep.hpp"
@@ -256,9 +257,11 @@ main(int argc, char **argv)
         } else if (a == "--allow-unoptimized") {
             allowUnoptimized = true;
         } else if (a == "--jobs" && i + 1 < argc) {
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            jobs = static_cast<unsigned>(
+                flagU64("ticsperf", "--jobs", argv[++i], kMaxJobs));
         } else if (a.rfind("--jobs=", 0) == 0) {
-            jobs = static_cast<unsigned>(std::atoi(a.c_str() + 7));
+            jobs = static_cast<unsigned>(
+                flagU64("ticsperf", "--jobs", a.c_str() + 7, kMaxJobs));
         } else {
             fatal("ticsperf: unknown argument '%s' "
                   "(flags: --quick --jobs N --allow-unoptimized "

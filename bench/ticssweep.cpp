@@ -24,6 +24,7 @@
 #include "fleet/coordinator.hpp"
 #include "fleet/worker.hpp"
 #include "harness/report.hpp"
+#include "support/parse.hpp"
 #include "sweep/sweep.hpp"
 
 using namespace ticsim;
@@ -94,6 +95,12 @@ main(int argc, char **argv)
             fleetFlag = arg;
             return next();
         };
+        const auto count = [&](const char *value, std::uint64_t max) {
+            return flagU64("ticssweep", arg, value, max);
+        };
+        const auto real = [&](const char *value) {
+            return flagDouble("ticssweep", arg, value);
+        };
         const auto axis = [&](const char *key) {
             std::string err;
             if (!sweep::parseAxis(cfg.grid, key, next(), err)) {
@@ -122,7 +129,7 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--seeds") == 0) {
             axis("seeds");
         } else if (std::strcmp(arg, "--jobs") == 0) {
-            cfg.jobs = static_cast<unsigned>(std::atoi(next()));
+            cfg.jobs = static_cast<unsigned>(count(next(), kMaxJobs));
             jobsGiven = true;
         } else if (std::strcmp(arg, "--no-cache") == 0) {
             cfg.useCache = false;
@@ -130,25 +137,25 @@ main(int argc, char **argv)
             cfg.cacheDir = next();
         } else if (std::strcmp(arg, "--budget-s") == 0) {
             cfg.budget =
-                static_cast<TimeNs>(std::atoll(next())) * kNsPerSec;
+                count(next(), kMaxTimeNs / kNsPerSec) * kNsPerSec;
         } else if (std::strcmp(arg, "--stable") == 0) {
             stable = true;
         } else if (std::strcmp(arg, "--seed") == 0) {
-            const auto seed =
-                static_cast<std::uint64_t>(std::atoll(next()));
+            const std::uint64_t seed = count(next(), UINT64_MAX);
             if (cfg.grid.seeds.size() == 1)
                 cfg.grid.seeds[0] = seed;
         } else if (std::strcmp(arg, "--workers") == 0) {
-            workers = static_cast<unsigned>(std::atoi(next()));
+            workers = static_cast<unsigned>(count(next(), kMaxJobs));
         } else if (std::strcmp(arg, "--max-seconds") == 0) {
-            fleetCfg.wallBudgetS = std::atof(fleetNext());
+            fleetCfg.wallBudgetS = real(fleetNext());
         } else if (std::strcmp(arg, "--max-retries") == 0) {
             fleetCfg.maxRetries =
-                static_cast<unsigned>(std::atoi(fleetNext()));
+                static_cast<unsigned>(count(fleetNext(), UINT32_MAX));
         } else if (std::strcmp(arg, "--heartbeat-timeout-s") == 0) {
-            fleetCfg.heartbeatTimeoutS = std::atof(fleetNext());
+            fleetCfg.heartbeatTimeoutS = real(fleetNext());
         } else if (std::strcmp(arg, "--kill-worker") == 0) {
-            fleetCfg.killWorkerShard = std::atoi(fleetNext());
+            fleetCfg.killWorkerShard =
+                static_cast<int>(count(fleetNext(), kMaxJobs));
         } else if (std::strcmp(arg, "--require-complete") == 0) {
             fleetFlag = arg;
             requireComplete = true;

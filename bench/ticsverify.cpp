@@ -40,12 +40,13 @@
 #include <iostream>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 
+#include "baseline.hpp"
 #include "harness/report.hpp"
 #include "harness/scenario.hpp"
 #include "support/json.hpp"
+#include "support/parse.hpp"
 #include "verify/crossval.hpp"
 #include "verify/envmodel.hpp"
 #include "verify/probcrossval.hpp"
@@ -85,45 +86,6 @@ findingKey(const verify::Finding &f)
 }
 
 /**
- * Read the baseline's "keys" array. The baseline is machine-written
- * JSON whose strings carry no escapes, so collecting the quoted
- * strings between the "keys" marker and the closing bracket is exact.
- */
-std::set<std::string>
-readBaseline(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "ticsverify: cannot open baseline '%s'\n",
-                     path.c_str());
-        std::exit(2);
-    }
-    std::stringstream ss;
-    ss << is.rdbuf();
-    const std::string text = ss.str();
-
-    std::set<std::string> keys;
-    const std::size_t marker = text.find("\"keys\"");
-    if (marker == std::string::npos)
-        return keys;
-    std::size_t pos = text.find('[', marker);
-    const std::size_t end = text.find(']', marker);
-    if (pos == std::string::npos || end == std::string::npos)
-        return keys;
-    while (true) {
-        const std::size_t open = text.find('"', pos);
-        if (open == std::string::npos || open > end)
-            break;
-        const std::size_t close = text.find('"', open + 1);
-        if (close == std::string::npos || close > end)
-            break;
-        keys.insert(text.substr(open + 1, close - open - 1));
-        pos = close + 1;
-    }
-    return keys;
-}
-
-/**
  * Probabilistic verdicts for baseline comparison: the static p95
  * completion time of every (app, runtime, env) row and the violation
  * probability of every timed variable. Both are pure functions of the
@@ -144,39 +106,26 @@ probVerdicts(const std::vector<verify::ProbGateRow> &rows,
 }
 
 /**
- * Read the baseline's "prob" array of "key=value" strings (written by
- * --write-baseline under --prob; absent from version-1 baselines).
+ * The baseline's "prob" array of "key=value" strings (written by
+ * --write-baseline under --prob; absent from version-1 baselines). A
+ * malformed entry exits 2.
  */
 std::map<std::string, double>
-readBaselineProb(const std::string &path)
+baselineProb(const std::string &text, const std::string &path)
 {
-    std::ifstream is(path);
-    std::stringstream ss;
-    ss << is.rdbuf();
-    const std::string text = ss.str();
-
     std::map<std::string, double> verdicts;
-    const std::size_t marker = text.find("\"prob\"");
-    if (marker == std::string::npos)
-        return verdicts;
-    std::size_t pos = text.find('[', marker);
-    const std::size_t end = text.find(']', marker);
-    if (pos == std::string::npos || end == std::string::npos)
-        return verdicts;
-    while (true) {
-        const std::size_t open = text.find('"', pos);
-        if (open == std::string::npos || open > end)
-            break;
-        const std::size_t close = text.find('"', open + 1);
-        if (close == std::string::npos || close > end)
-            break;
-        const std::string entry =
-            text.substr(open + 1, close - open - 1);
+    for (const std::string &entry : bench::baselineArray(text, "prob")) {
         const std::size_t eq = entry.rfind('=');
-        if (eq != std::string::npos)
-            verdicts[entry.substr(0, eq)] =
-                std::atof(entry.c_str() + eq + 1);
-        pos = close + 1;
+        double v = 0;
+        if (eq == std::string::npos ||
+            !parseDouble(entry.substr(eq + 1), v)) {
+            std::fprintf(stderr,
+                         "ticsverify: bad prob verdict '%s' in baseline "
+                         "'%s'\n",
+                         entry.c_str(), path.c_str());
+            std::exit(2);
+        }
+        verdicts[entry.substr(0, eq)] = v;
     }
     return verdicts;
 }
@@ -258,15 +207,20 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        const auto count = [&](std::uint64_t max) {
+            return flagU64("ticsverify", arg, next(), max);
+        };
+        const auto real = [&] {
+            return flagDouble("ticsverify", arg, next());
+        };
         if (std::strcmp(arg, "--period-ms") == 0) {
-            cfg.patternPeriod =
-                static_cast<TimeNs>(std::atoll(next())) * kNsPerMs;
+            cfg.patternPeriod = count(kMaxTimeNs / kNsPerMs) * kNsPerMs;
         } else if (std::strcmp(arg, "--on-fraction") == 0) {
-            cfg.patternOnFraction = std::atof(next());
+            cfg.patternOnFraction = real();
         } else if (std::strcmp(arg, "--seed") == 0) {
-            cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
+            cfg.seed = count(UINT64_MAX);
         } else if (std::strcmp(arg, "--capacitance-uf") == 0) {
-            cfg.capacitanceF = std::atof(next()) * 1e-6;
+            cfg.capacitanceF = real() * 1e-6;
         } else if (std::strcmp(arg, "--scenario") == 0) {
             const char *s = next();
             if (std::strcmp(s, "nonterminating") != 0) {
@@ -279,12 +233,12 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--prob") == 0) {
             prob = true;
         } else if (std::strcmp(arg, "--prob-seeds") == 0) {
-            const int n = std::atoi(next());
+            const std::uint64_t n = count(1u << 20);
             probCfg.seeds.clear();
-            for (int s = 0; s < n; ++s)
+            for (std::uint64_t s = 0; s < n; ++s)
                 probCfg.seeds.push_back(11 + s);
         } else if (std::strcmp(arg, "--prob-cap-uf") == 0) {
-            probCfg.stochasticCapUf = std::atof(next());
+            probCfg.stochasticCapUf = real();
         } else if (std::strcmp(arg, "--prob-tol") == 0) {
             double p50 = 0, p95 = 0, p99 = 0;
             if (std::sscanf(next(), "%lf,%lf,%lf", &p50, &p95, &p99) !=
@@ -298,13 +252,13 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--no-cache") == 0) {
             probCfg.useCache = false;
         } else if (std::strcmp(arg, "--slo") == 0) {
-            slo.slo = std::atof(next());
+            slo.slo = real();
         } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-            slo.deadlineNs = std::atof(next()) * 1e6;
+            slo.deadlineNs = real() * 1e6;
         } else if (std::strcmp(arg, "--size-capacitor") == 0) {
             sizePair = next();
         } else if (std::strcmp(arg, "--jobs") == 0) {
-            cfg.jobs = static_cast<unsigned>(std::atoi(next()));
+            cfg.jobs = static_cast<unsigned>(count(kMaxJobs));
             probCfg.jobs = cfg.jobs;
         } else if (std::strcmp(arg, "--verbose") == 0) {
             verbose = true;
@@ -520,7 +474,9 @@ main(int argc, char **argv)
         writeBaseline(writeBaselinePath, findings, probMap);
 
     if (!baselinePath.empty()) {
-        const auto known = readBaseline(baselinePath);
+        const std::string text =
+            bench::readBaseline("ticsverify", baselinePath);
+        const auto known = bench::baselineArray(text, "keys");
         std::size_t fresh = 0;
         for (const auto &f : findings) {
             if (!known.count(findingKey(f))) {
@@ -544,7 +500,7 @@ main(int argc, char **argv)
         // a drifted p95 or violation probability fails whether it got
         // better or worse, because either means the model changed.
         if (!probMap.empty()) {
-            const auto knownProb = readBaselineProb(baselinePath);
+            const auto knownProb = baselineProb(text, baselinePath);
             if (knownProb.empty()) {
                 std::printf("ticsverify: baseline carries no prob "
                             "verdicts (version 1); skipping the prob "

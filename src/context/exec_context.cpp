@@ -62,18 +62,16 @@ unpoisonFiberStack(std::uint8_t *base, std::size_t size)
  * reboots, so the fiber does too), and every swapcontext/setcontext
  * is bracketed by a switch annotation.
  *
- * Known limitation: a brown-out abandonment leaves the fiber via
- * setcontext without unwinding, and a checkpoint resume re-enters a
- * frame captured by an earlier getcontext. Neither jump runs the
- * instrumented function exits in between, and the fiber API has no
- * longjmp-style shadow-stack rewind, so each abandon/resume cycle
- * leaks (abandon depth - capture depth) stale shadow frames. Fresh
- * boots reset the fiber (see prepare()), which keeps restart-style
- * runtimes bounded, but checkpoint-resume runs with hundreds of
- * reboots can still exhaust TSan's fixed-size shadow stack. The TSan
- * preset therefore targets the genuinely concurrent layer (sweep
- * pool, perf counters/profiler); reboot-heavy single-threaded
- * simulation suites are exercised under ASan instead.
+ * A brown-out abandonment leaves the fiber via setcontext without
+ * unwinding, and a checkpoint resume re-enters a frame captured by an
+ * earlier getcontext. Neither jump runs the function exits in between,
+ * and the fiber API has no longjmp-style shadow-stack rewind, so with
+ * function entry/exit instrumentation each abandon/resume cycle would
+ * leak stale shadow frames until checkpoint-resume runs with hundreds
+ * of reboots exhaust TSan's fixed-size shadow stack. The TSan preset
+ * therefore compiles without those hooks (CMakeLists.txt), which lets
+ * the whole suite run under TSan; reports then show only the racing
+ * frame.
  */
 inline void *
 tsanFiberCreate()

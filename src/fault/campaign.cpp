@@ -204,49 +204,44 @@ randomSchedules(const CampaignConfig &cfg, const EventCensus &census,
 
 } // namespace
 
+FaultedBoard::FaultedBoard(const PairConfig &cfg, const FaultPlan &plan)
+    : board(board::BoardConfig{.seed = cfg.seed},
+            std::make_unique<FaultedSupply>(
+                std::make_unique<energy::ContinuousSupply>(), plan.offNs),
+            std::make_unique<timekeeper::PerfectTimekeeper>()),
+      supply(static_cast<FaultedSupply &>(board.supply()))
+{
+    supply.scheduleAbsolute(absoluteCuts(plan));
+}
+
 PairRunOutcome
-runPairWithPlan(const CampaignConfig &cfg, const PairSpec &spec,
+runPairWithPlan(const PairConfig &cfg, const PairSpec &spec,
                 const FaultPlan &plan, bool observe)
 {
-    board::BoardConfig bcfg;
-    bcfg.seed = cfg.seed;
-
-    auto supply = std::make_unique<FaultedSupply>(
-        std::make_unique<energy::ContinuousSupply>(), plan.offNs);
-    if (!observe) {
-        std::vector<TimeNs> abs;
-        for (const auto &c : plan.cuts)
-            if (c.absolute)
-                abs.push_back(c.atNs);
-        std::sort(abs.begin(), abs.end());
-        supply->scheduleAbsolute(std::move(abs));
-    }
-    FaultedSupply *sup = supply.get();
-
-    board::Board board(bcfg, std::move(supply),
-                       std::make_unique<timekeeper::PerfectTimekeeper>());
-    FaultInjector inj(board, *sup, plan, observe);
+    // Observe mode injects nothing: not even the absolute cuts.
+    FaultedBoard fb(cfg, observe ? planFromAtoms(plan, {}) : plan);
+    FaultInjector inj(fb.board, fb.supply, plan, observe);
     mem::ScopedSink sink(&inj);
 
     PairRunOutcome out;
     {
         // The pair is torn down while the injector is still installed.
-        harness::ScenarioInstance inst = spec.make(board);
-        out.res = board.run(*inst.runtime, inst.entry, cfg.budget);
+        harness::ScenarioInstance inst = spec.make(fb.board);
+        out.res = fb.board.run(*inst.runtime, inst.entry, cfg.budget);
         out.verified = inst.verify();
         out.snap = analysis::ReplayOracle::capture(
-            board.nvram(), analysis::ReplayOracle::appStateFilter());
+            fb.board.nvram(), analysis::ReplayOracle::appStateFilter());
     }
     out.census = inj.census();
-    out.firedCuts = sup->firedAt();
-    out.injectedDeaths = sup->injectedDeaths();
+    out.firedCuts = fb.supply.firedAt();
+    out.injectedDeaths = fb.supply.injectedDeaths();
     out.tearsApplied = inj.tearsApplied();
     out.flipsApplied = inj.flipsApplied();
 
     // Per-atom firing records in planFromAtoms order. Relative cuts
     // were tracked by the injector; absolute cuts are matched against
     // the scheduled instants the supply consumed.
-    std::vector<TimeNs> absFired = sup->absFiredAt();
+    std::vector<TimeNs> absFired = fb.supply.absFiredAt();
     for (std::size_t i = 0; i < plan.cuts.size(); ++i) {
         AtomFiring a = inj.cutFirings()[i];
         if (plan.cuts[i].absolute) {
@@ -404,7 +399,7 @@ shrinkPlanWith(const PairSpec &spec, const FaultPlan &original,
 }
 
 Violation
-shrinkViolationFromBoot(const CampaignConfig &cfg, const PairSpec &spec,
+shrinkViolationFromBoot(const PairConfig &cfg, const PairSpec &spec,
                         const PairRunOutcome &ref, const FaultPlan &original,
                         const Classification &firstSeen)
 {
@@ -420,7 +415,7 @@ shrinkViolationFromBoot(const CampaignConfig &cfg, const PairSpec &spec,
 }
 
 std::vector<PairSpec>
-campaignPairs(const CampaignConfig &cfg)
+campaignPairs(const PairConfig &cfg)
 {
     harness::ScenarioParams params;
     params.bc = cfg.bc;
@@ -601,17 +596,6 @@ runCampaign(const CampaignConfig &cfg)
     return rep;
 }
 
-bool
-replayPlan(const CampaignConfig &cfg, const std::string &pairName,
-           const FaultPlan &plan, std::string &verdictOut)
-{
-    ReplayDetail detail;
-    if (!replayPlanDetailed(cfg, pairName, plan, detail))
-        return false;
-    verdictOut = detail.verdict;
-    return true;
-}
-
 namespace {
 
 /** Serialize one atom of @p plan on its own, without the off suffix. */
@@ -629,7 +613,7 @@ formatAtom(const FaultPlan &plan, std::size_t idx)
 } // namespace
 
 bool
-replayPlanDetailed(const CampaignConfig &cfg, const std::string &pairName,
+replayPlanDetailed(const PairConfig &cfg, const std::string &pairName,
                    const FaultPlan &plan, ReplayDetail &out)
 {
     const auto slash = pairName.find('/');

@@ -39,10 +39,13 @@
 
 namespace ticsim::fault {
 
-struct CampaignConfig {
+/**
+ * What every run of a pair depends on: seed, budget, off window and app
+ * sizes. The campaign, the explorer and the fork shrinker all build a
+ * pair's runs from this alone.
+ */
+struct PairConfig {
     std::uint64_t seed = 11;
-    /** Seeded-random schedules per pair on top of the systematic set. */
-    std::uint32_t randomSchedules = 8;
     /** Virtual-time budget per run. Faults are finite, so every run —
      *  including plain C restarting from scratch — eventually
      *  completes on the continuous tail; no separate unprotected
@@ -50,6 +53,20 @@ struct CampaignConfig {
     TimeNs budget = 600 * kNsPerSec;
     /** Off window after every injected death. */
     TimeNs offNs = 12 * kNsPerMs;
+    apps::BcParams bc{};
+    apps::CuckooParams cuckoo{};
+
+    PairConfig()
+    {
+        // Same scaling as ticscheck: one Cuckoo pass must span several
+        // injected outages for the unprotected split to show anything.
+        cuckoo.workScale = 16.0;
+    }
+};
+
+struct CampaignConfig : PairConfig {
+    /** Seeded-random schedules per pair on top of the systematic set. */
+    std::uint32_t randomSchedules = 8;
     /** Wall-clock cap in seconds; 0 = unlimited. A capped campaign
      *  marks itself truncated (and is then not seed-reproducible). */
     double maxSeconds = 0;
@@ -61,15 +78,6 @@ struct CampaignConfig {
      * cap does not fire.
      */
     unsigned jobs = 1;
-    apps::BcParams bc{};
-    apps::CuckooParams cuckoo{};
-
-    CampaignConfig()
-    {
-        // Same scaling as ticscheck: one Cuckoo pass must span several
-        // injected outages for the unprotected split to show anything.
-        cuckoo.workScale = 16.0;
-    }
 };
 
 /** Outcome of one subject (or reference) run of a pair. */
@@ -130,15 +138,28 @@ Classification classifyOutcome(const PairRunOutcome &ref,
                                const PairRunOutcome &sub);
 
 /**
- * One subject (or reference) execution: fresh board, fresh runtime and
- * app from the pair's catalog row, a FaultedSupply over a continuous
- * inner supply, and the injector installed as the access sink for the
- * whole run. The row rebuilds identical objects each time, so arena
- * layouts match and the replay diff is byte-meaningful.
+ * The board every run of a pair executes on: @p cfg's seed, a
+ * FaultedSupply over a continuous supply with @p plan's off window and
+ * its absolute cuts scheduled, and a perfect timekeeper. The replay
+ * diff compares arenas byte for byte across runs, so the campaign, the
+ * explorer and the fork shrinker all build their boards here.
  */
-PairRunOutcome runPairWithPlan(const CampaignConfig &cfg,
-                               const PairSpec &spec, const FaultPlan &plan,
-                               bool observe);
+struct FaultedBoard {
+    FaultedBoard(const PairConfig &cfg, const FaultPlan &plan);
+
+    board::Board board;
+    FaultedSupply &supply;
+};
+
+/**
+ * One subject (or reference) execution: a FaultedBoard, fresh runtime
+ * and app from the pair's catalog row, and the injector installed as
+ * the access sink for the whole run. The row rebuilds identical objects
+ * each time, so arena layouts match and the replay diff is
+ * byte-meaningful.
+ */
+PairRunOutcome runPairWithPlan(const PairConfig &cfg, const PairSpec &spec,
+                               const FaultPlan &plan, bool observe);
 
 /** Rebuild a plan from a subset of its atom indices (ddmin
  *  granularity: one cut, tear, or flip per atom, in that order;
@@ -149,7 +170,7 @@ FaultPlan planFromAtoms(const FaultPlan &full,
 /** The campaign matrix: the catalog's consistency-matrix rows (BC and
  *  Cuckoo under TICS, MementOS-like, Chinchilla-like, Alpaca-like
  *  tasks, and plain C; 10 pairs, mirroring ticscheck). */
-std::vector<PairSpec> campaignPairs(const CampaignConfig &cfg);
+std::vector<PairSpec> campaignPairs(const PairConfig &cfg);
 
 /** What one evaluation of a candidate plan observed. */
 struct PlanProbe {
@@ -189,7 +210,7 @@ Violation shrinkPlanWith(const PairSpec &spec, const FaultPlan &original,
                          const PlanEval &eval);
 
 /** The from-boot shrinker: shrinkPlanWith over full re-runs. */
-Violation shrinkViolationFromBoot(const CampaignConfig &cfg,
+Violation shrinkViolationFromBoot(const PairConfig &cfg,
                                   const PairSpec &spec,
                                   const PairRunOutcome &ref,
                                   const FaultPlan &original,
@@ -228,15 +249,6 @@ struct CampaignReport {
  *  maxSeconds is 0. */
 CampaignReport runCampaign(const CampaignConfig &cfg);
 
-/**
- * Re-execute one plan against one pair ("App/Runtime", either name
- * exact or a catalog alias such as "CF/tics"), reporting the violation
- * kind ("consistent" when the run is clean). Returns false when the
- * pair name matches no campaign pair.
- */
-bool replayPlan(const CampaignConfig &cfg, const std::string &pairName,
-                const FaultPlan &plan, std::string &verdictOut);
-
 /** One plan atom's replay status, human-readable. */
 struct ReplayAtomStatus {
     std::string atom;   ///< the atom, re-serialized on its own
@@ -245,7 +257,8 @@ struct ReplayAtomStatus {
     TimeNs at = 0;                ///< virtual time of the trigger
 };
 
-/** replayPlan plus per-atom firing detail for `ticsfault --replay`. */
+/** What one replayed plan did: the violation kind ("consistent" when
+ *  the run is clean) and each atom's firing, for `ticsfault --replay`. */
 struct ReplayDetail {
     std::string verdict;
     std::vector<ReplayAtomStatus> atoms;
@@ -259,9 +272,13 @@ struct ReplayDetail {
     }
 };
 
-bool replayPlanDetailed(const CampaignConfig &cfg,
-                        const std::string &pairName, const FaultPlan &plan,
-                        ReplayDetail &out);
+/**
+ * Re-execute one plan against one pair ("App/Runtime", either name
+ * exact or a catalog alias such as "CF/tics"). Returns false when the
+ * pair name matches no campaign pair.
+ */
+bool replayPlanDetailed(const PairConfig &cfg, const std::string &pairName,
+                        const FaultPlan &plan, ReplayDetail &out);
 
 /** Per-pair summary in the repo's standard table format. */
 Table campaignTable(const CampaignReport &report);

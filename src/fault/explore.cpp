@@ -1,7 +1,6 @@
 #include "explore.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <set>
 #include <utility>
@@ -10,7 +9,6 @@
 #include "mem/journal.hpp"
 #include "support/logging.hpp"
 #include "sweep/job_pool.hpp"
-#include "timekeeper/timekeeper.hpp"
 
 namespace ticsim::fault {
 
@@ -22,148 +20,42 @@ namespace {
  * One forkable point discovered by a recording pass: a boundary event
  * (branch: die here) or a gated NV store (branches: land each distinct
  * torn image, then die). Carries the light snapshot to restore, the
- * sink census to reseed, and — for stores — the source bytes, because
- * the caller's src pointer is dead by the time the branch runs.
+ * injector state to reseed — with this event already counted — and,
+ * for stores, the source bytes, because the caller's src pointer is
+ * dead by the time the branch runs.
  */
 struct Decision {
     bool isStore = false;
     Boundary boundary = Boundary::Boot;
     mem::StoreSite site = mem::StoreSite::AppGlobal;
-    std::uint64_t occurrence = 0; ///< ordinal this branch's atom targets
     std::uint32_t bytes = 0;
     void *dst = nullptr;
     std::vector<std::uint8_t> src;
-    /** Sink census to reseed on restore: for boundaries *after* the
-     *  event was counted (the cut atom targets the count as-of here);
-     *  for stores *before* (the branch itself replays the count). */
-    EventCensus counters{};
+    InjectorState state{};
     board::Snapshot snap{};
 };
 
 using Frame = std::vector<Decision>;
 
 /**
- * Recording-pass sink: counts events exactly like FaultInjector (same
- * started_ gating, construction stores excluded) and, while a frame is
- * armed, records a Decision with a light snapshot per countable event.
- * Its store() lands gated stores during exploration — with journaling,
- * so restore() can roll them back.
+ * A store decision's local alphabet: the distinct torn images the
+ * injector's tear modes can produce — nothing landed, half landed, a
+ * garbled tail, word interleaving — each followed by death,
+ * deduplicated by (mode, keep).
  */
-class ExploreSink : public mem::AccessSink
+std::vector<TornWrite>
+tearsAt(const Decision &d)
 {
-  public:
-    explicit ExploreSink(board::Board &board) : board_(board) {}
-
-    void beginRecording(Frame *frame) { frame_ = frame; }
-    void stopRecording() { frame_ = nullptr; }
-
-    EventCensus &census() { return census_; }
-    void setCensus(const EventCensus &c) { census_ = c; }
-
-    // AccessSink
-    void
-    powerOn() override
-    {
-        started_ = true;
-        note(Boundary::Boot);
-    }
-
-    void commit() override { note(Boundary::CommitEnd); }
-
-    void
-    sideEvent(const mem::SideEvent &ev) override
-    {
-        if (const auto b = boundaryOf(ev.kind))
-            note(*b);
-    }
-
-    void
-    store(mem::StoreSite site, void *dst, const void *src,
-          std::uint32_t bytes) override
-    {
-        if (!started_) {
-            // Programming-time stores: outside the fault universe.
-            std::memcpy(dst, src, bytes);
-            return;
-        }
-        const int s = static_cast<int>(site);
-        if (frame_ != nullptr) {
-            Decision d;
-            d.isStore = true;
-            d.site = site;
-            d.occurrence = census_.stores[s] + 1;
-            d.bytes = bytes;
-            d.dst = dst;
-            d.src.assign(static_cast<const std::uint8_t *>(src),
-                         static_cast<const std::uint8_t *>(src) + bytes);
-            d.counters = census_;
-            board_.snapshot(d.snap, /*withFiber=*/false);
-            frame_->push_back(std::move(d));
-        }
-        ++census_.stores[s];
-        mem::journalNote(dst, bytes);
-        std::memcpy(dst, src, bytes);
-    }
-
-  private:
-    void
-    note(Boundary b)
-    {
-        ++census_.boundary[static_cast<int>(b)];
-        if (frame_ == nullptr)
-            return;
-        Decision d;
-        d.boundary = b;
-        d.occurrence = census_.boundary[static_cast<int>(b)];
-        d.counters = census_;
-        board_.snapshot(d.snap, /*withFiber=*/false);
-        frame_->push_back(std::move(d));
-    }
-
-    board::Board &board_;
-    Frame *frame_ = nullptr;
-    EventCensus census_{};
-    bool started_ = false;
-};
-
-/** One branch of a decision's local fault alphabet, as a plan atom. */
-struct BranchAtom {
-    bool isTear = false;
-    Boundary boundary = Boundary::Boot;
-    mem::StoreSite site = mem::StoreSite::AppGlobal;
-    std::uint64_t occurrence = 0;
-    TearMode mode = TearMode::Prefix;
-    std::uint32_t keepBytes = 0;
-};
-
-/**
- * The local alphabet. A boundary forks one branch: die here. A store
- * of n bytes forks the distinct torn images the injector's tear modes
- * can produce — nothing landed, half landed, a garbled tail, word
- * interleaving — each followed by death, deduplicated by (mode, keep).
- */
-std::vector<BranchAtom>
-branchesOf(const Decision &d)
-{
-    std::vector<BranchAtom> out;
-    if (!d.isStore) {
-        BranchAtom a;
-        a.boundary = d.boundary;
-        a.occurrence = d.occurrence;
-        out.push_back(a);
-        return out;
-    }
+    std::vector<TornWrite> out;
     const auto add = [&](TearMode m, std::uint32_t keep) {
-        for (const auto &b : out)
-            if (b.mode == m && b.keepBytes == keep)
+        for (const auto &t : out)
+            if (t.mode == m && t.keepBytes == keep)
                 return;
-        BranchAtom a;
-        a.isTear = true;
-        a.site = d.site;
-        a.occurrence = d.occurrence;
-        a.mode = m;
-        a.keepBytes = keep;
-        out.push_back(a);
+        out.push_back(
+            {.site = d.site,
+             .occurrence = d.state.census.stores[static_cast<int>(d.site)],
+             .mode = m,
+             .keepBytes = keep});
     };
     const std::uint32_t n = d.bytes;
     add(TearMode::Prefix, 0);
@@ -174,26 +66,6 @@ branchesOf(const Decision &d)
     if (n > 4)
         add(TearMode::Interleaved, n / 2);
     return out;
-}
-
-void
-atomInto(const BranchAtom &a, FaultPlan &p)
-{
-    if (a.isTear) {
-        TornWrite t;
-        t.site = a.site;
-        t.occurrence = a.occurrence;
-        t.mode = a.mode;
-        t.keepBytes = a.keepBytes;
-        p.tears.push_back(t);
-    } else {
-        PowerCut c;
-        c.absolute = false;
-        c.boundary = a.boundary;
-        c.occurrence = a.occurrence;
-        c.delayNs = 0;
-        p.cuts.push_back(c);
-    }
 }
 
 /** A violating leaf, pending cross-shard dedup and confirmation. */
@@ -251,34 +123,30 @@ class ShardWalker
         : cfg_(cfg), spec_(spec), ref_(ref), shard_(shard),
           shards_(shardCount)
     {
+        path_.offNs = cfg.base.offNs;
     }
 
     ShardStats
     run()
     {
-        board::BoardConfig bcfg;
-        bcfg.seed = cfg_.base.seed;
-        auto supply = std::make_unique<FaultedSupply>(
-            std::make_unique<energy::ContinuousSupply>(), cfg_.base.offNs);
-        sup_ = supply.get();
-        board::Board board(bcfg, std::move(supply),
-                           std::make_unique<timekeeper::PerfectTimekeeper>());
-        board_ = &board;
-        ExploreSink sink(board);
-        sink_ = &sink;
-        mem::ScopedSink as(&sink);
-        harness::ScenarioInstance env = spec_.make(board);
+        FaultedBoard fb(cfg_.base, path_);
+        board_ = &fb;
+        const FaultPlan noFaults;
+        FaultInjector inj(fb.board, fb.supply, noFaults,
+                          /*observeOnly=*/true);
+        inj_ = &inj;
+        mem::ScopedSink as(&inj);
+        harness::ScenarioInstance env = spec_.make(fb.board);
         env_ = &env;
         mem::WriteJournal journal;
         mem::ScopedWriteJournal sj(&journal);
 
-        board.beginRun(*env.runtime, env.entry, cfg_.base.budget);
-        const analysis::BoundReference oracle = bindReference(ref_, board);
+        fb.board.beginRun(*env.runtime, env.entry, cfg_.base.budget);
+        const analysis::BoundReference oracle =
+            bindReference(ref_, fb.board);
         oracle_ = &oracle;
         Frame top;
-        sink.beginRecording(&top);
-        const board::RunResult cleanRes = board.continueRun();
-        sink.stopRecording();
+        const board::RunResult cleanRes = record(top);
 
         // The fault-free recording pass must be the reference run.
         if (!judgeLeaf(oracle, env, cleanRes).kind.empty()) {
@@ -292,6 +160,30 @@ class ShardWalker
     }
 
   private:
+    /** Continue the run with a Decision and a light snapshot recorded
+     *  into @p frame at every event the injector counts. */
+    board::RunResult
+    record(Frame &frame)
+    {
+        inj_->setHook([this, &frame](const CountedEvent &ev) {
+            Decision &d = frame.emplace_back();
+            d.isStore = ev.isStore;
+            d.boundary = ev.boundary;
+            d.site = ev.site;
+            d.bytes = ev.bytes;
+            d.dst = ev.dst;
+            if (ev.isStore) {
+                const auto *src = static_cast<const std::uint8_t *>(ev.src);
+                d.src.assign(src, src + ev.bytes);
+            }
+            d.state = inj_->state();
+            board_->board.snapshot(d.snap, /*withFiber=*/false);
+        });
+        const board::RunResult res = board_->board.continueRun();
+        inj_->setHook(nullptr);
+        return res;
+    }
+
     void
     walkFrame(const Frame &frame, std::uint32_t depthLeft, bool sharded)
     {
@@ -315,37 +207,47 @@ class ShardWalker
     void
     exploreDecision(const Decision &d, std::uint32_t depthLeft)
     {
-        for (const BranchAtom &a : branchesOf(d)) {
-            board_->restore(d.snap);
-            sink_->setCensus(d.counters);
-            ++st_.branchesTaken;
-            if (a.isTear) {
-                // The torn store happens — counted, journaled, landed
-                // torn — and the lights go out on it.
-                ++sink_->census().stores[static_cast<int>(d.site)];
-                TornWrite t;
-                t.site = a.site;
-                t.occurrence = a.occurrence;
-                t.mode = a.mode;
-                t.keepBytes = a.keepBytes;
-                mem::journalNote(d.dst, d.bytes);
-                applyTornStore(t, d.dst, d.src.data(), d.bytes);
-            }
-            sup_->noteForcedDeath();
-            board_->markInjectedDeath();
-            path_.push_back(a);
-            if (depthLeft == 0) {
-                classifyLeaf(board_->continueRun());
-            } else {
-                Frame sub;
-                sink_->beginRecording(&sub);
-                const board::RunResult res = board_->continueRun();
-                sink_->stopRecording();
-                classifyLeaf(res);
-                walkFrame(sub, depthLeft - 1, /*sharded=*/false);
-            }
-            path_.pop_back();
+        if (!d.isStore) {
+            // A boundary forks one branch: die right at it.
+            path_.cuts.push_back(
+                {.boundary = d.boundary,
+                 .occurrence =
+                     d.state.census.boundary[static_cast<int>(d.boundary)]});
+            branch(d, nullptr, depthLeft);
+            path_.cuts.pop_back();
+            return;
         }
+        for (const TornWrite &t : tearsAt(d)) {
+            path_.tears.push_back(t);
+            branch(d, &t, depthLeft);
+            path_.tears.pop_back();
+        }
+    }
+
+    /** Restore @p d, die there — after landing @p tear, if any — and
+     *  drive the run to a leaf, recording the next frame on the way
+     *  while depth remains. */
+    void
+    branch(const Decision &d, const TornWrite *tear, std::uint32_t depthLeft)
+    {
+        board_->board.restore(d.snap);
+        inj_->setState(d.state);
+        ++st_.branchesTaken;
+        if (tear != nullptr) {
+            // The torn store happens — journaled, landed torn — and the
+            // lights go out on it.
+            mem::journalNote(d.dst, d.bytes);
+            applyTornStore(*tear, d.dst, d.src.data(), d.bytes);
+        }
+        board_->supply.noteForcedDeath();
+        board_->board.markInjectedDeath();
+        if (depthLeft == 0) {
+            classifyLeaf(board_->board.continueRun());
+            return;
+        }
+        Frame sub;
+        classifyLeaf(record(sub));
+        walkFrame(sub, depthLeft - 1, /*sharded=*/false);
     }
 
     void
@@ -356,9 +258,7 @@ class ShardWalker
         if (c.kind.empty())
             return;
         PendingViolation pv;
-        pv.plan.offNs = cfg_.base.offNs;
-        for (const BranchAtom &a : path_)
-            atomInto(a, pv.plan);
+        pv.plan = path_;
         pv.planStr = pv.plan.format();
         pv.kind = c.kind;
         pv.divergentBytes = c.divergentBytes;
@@ -370,187 +270,13 @@ class ShardWalker
     const PairRunOutcome &ref_;
     unsigned shard_;
     unsigned shards_;
-    board::Board *board_ = nullptr;
-    FaultedSupply *sup_ = nullptr;
-    ExploreSink *sink_ = nullptr;
+    FaultedBoard *board_ = nullptr;
+    FaultInjector *inj_ = nullptr;
     harness::ScenarioInstance *env_ = nullptr;
     const analysis::BoundReference *oracle_ = nullptr;
-    std::vector<BranchAtom> path_;
+    /** The faults of the branch being walked, outermost first. */
+    FaultPlan path_;
     ShardStats st_;
-};
-
-// ---- the fork shrinker -----------------------------------------------------
-
-/**
- * Recording-side sink of forkShrinkViolation(): counts the census the
- * same way FaultInjector does and keeps re-capturing a full (fiber)
- * snapshot at every countable event, as long as every atom of the
- * target plan still lies ahead of it. The *last* capture wins: the
- * latest point from which any subset of the target plan can still
- * fire, so forked evaluations execute the shortest possible suffix.
- *
- * The capture runs inside this sink's own stack frames; when an
- * evaluation restores the snapshot, execution resumes here (capture
- * returns false), falls through the store tail — journal note plus
- * memcpy, now under the evaluation's injector — and returns to the
- * runtime as if the recording run had never stopped.
- */
-class ShrinkRecorder : public mem::AccessSink
-{
-  public:
-    ShrinkRecorder(board::Board &board, const FaultPlan &target)
-        : board_(board), target_(&target)
-    {
-    }
-
-    void disarm() { arming_ = false; }
-    bool haveSnap() const { return haveSnap_; }
-    const board::Snapshot &snap() const { return snap_; }
-    const InjectorState &stateAt() const { return state0_; }
-
-    /** Can a forked evaluation of @p p start from the snapshot — i.e.
-     *  does every one of its atoms still lie ahead of it? */
-    bool
-    planSafeFrom(const FaultPlan &p) const
-    {
-        if (!haveSnap_)
-            return false;
-        for (const auto &c : p.cuts) {
-            if (c.absolute) {
-                if (snap_.now >= c.atNs)
-                    return false;
-            } else if (state0_.census.boundary[static_cast<int>(
-                           c.boundary)] >= c.occurrence) {
-                return false;
-            }
-        }
-        for (const auto &t : p.tears)
-            if (state0_.census.stores[static_cast<int>(t.site)] >=
-                t.occurrence)
-                return false;
-        for (const auto &f : p.flips)
-            if (state0_.boots >= f.outageIndex + 1)
-                return false;
-        return true;
-    }
-
-    // AccessSink
-    void
-    powerOn() override
-    {
-        started_ = true;
-        ++boots_;
-        ++census_.boundary[static_cast<int>(Boundary::Boot)];
-        maybeCaptureBoot();
-    }
-
-    void
-    commit() override
-    {
-        count(Boundary::CommitEnd);
-    }
-
-    void
-    sideEvent(const mem::SideEvent &ev) override
-    {
-        if (const auto b = boundaryOf(ev.kind))
-            count(*b);
-    }
-
-    void
-    store(mem::StoreSite site, void *dst, const void *src,
-          std::uint32_t bytes) override
-    {
-        if (!started_) {
-            std::memcpy(dst, src, bytes);
-            return;
-        }
-        ++census_.stores[static_cast<int>(site)];
-        maybeCaptureFiber();
-        // Resumed evaluations re-enter above and complete the store
-        // here, under their own injector and journal epoch.
-        mem::journalNote(dst, bytes);
-        std::memcpy(dst, src, bytes);
-    }
-
-  private:
-    void
-    count(Boundary b)
-    {
-        ++census_.boundary[static_cast<int>(b)];
-        maybeCaptureFiber();
-    }
-
-    void
-    maybeCaptureFiber()
-    {
-        if (!checkArmed())
-            return;
-        if (!board_.ctx().inside())
-            return; // scheduler-side event; boot capture covers those
-        if (!board_.snapshot(snap_, /*withFiber=*/true))
-            return; // resume path of a forked evaluation
-        recordState();
-    }
-
-    void
-    maybeCaptureBoot()
-    {
-        if (!checkArmed())
-            return;
-        // This callback fires from traceBoot(), before the run loop
-        // emits the Boot event — so the captured ring mark excludes it
-        // and the phase is patched to BootNoTrace: the resumed loop
-        // emits the event exactly once and never re-announces the boot
-        // to the (then different) sink.
-        board_.snapshot(snap_, /*withFiber=*/false);
-        snap_.phase = board::RunPhase::BootNoTrace;
-        recordState();
-    }
-
-    /** Safety is monotone — census and clock only grow — so the first
-     *  unsafe event disarms capturing for good. */
-    bool
-    checkArmed()
-    {
-        if (!arming_)
-            return false;
-        for (const auto &c : target_->cuts) {
-            if (c.absolute) {
-                if (board_.now() >= c.atNs)
-                    arming_ = false;
-            } else if (census_.boundary[static_cast<int>(c.boundary)] >=
-                       c.occurrence) {
-                arming_ = false;
-            }
-        }
-        for (const auto &t : target_->tears)
-            if (census_.stores[static_cast<int>(t.site)] >= t.occurrence)
-                arming_ = false;
-        for (const auto &f : target_->flips)
-            if (boots_ >= f.outageIndex + 1)
-                arming_ = false;
-        return arming_;
-    }
-
-    void
-    recordState()
-    {
-        state0_.census = census_;
-        state0_.started = started_;
-        state0_.boots = boots_;
-        haveSnap_ = true;
-    }
-
-    board::Board &board_;
-    const FaultPlan *target_;
-    bool arming_ = true;
-    bool haveSnap_ = false;
-    bool started_ = false;
-    std::uint64_t boots_ = 0;
-    EventCensus census_{};
-    board::Snapshot snap_{};
-    InjectorState state0_{};
 };
 
 } // namespace
@@ -674,7 +400,7 @@ ExploreReport::ok() const
 }
 
 Violation
-forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
+forkShrinkViolation(const PairConfig &cfg, const PairSpec &spec,
                     const PairRunOutcome &ref, const FaultPlan &original,
                     const Classification &firstSeen)
 {
@@ -683,32 +409,60 @@ forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
               spec.runtime.c_str());
 
     // Recording pass: one fault-free run — the common prefix of every
-    // ddmin candidate — capturing the latest snapshot from which all
-    // of the original plan's atoms still lie ahead.
-    board::BoardConfig bcfg;
-    bcfg.seed = cfg.seed;
-    auto supply = std::make_unique<FaultedSupply>(
-        std::make_unique<energy::ContinuousSupply>(), original.offNs);
-    FaultedSupply *sup = supply.get();
-    board::Board board(bcfg, std::move(supply),
-                       std::make_unique<timekeeper::PerfectTimekeeper>());
-    ShrinkRecorder rec(board, original);
-    mem::ScopedSink as(&rec);
-    harness::ScenarioInstance env = spec.make(board);
+    // ddmin candidate — capturing the latest snapshot from which every
+    // atom of the original plan still lies ahead. The *last* capture
+    // wins, so forked evaluations execute the shortest possible suffix.
+    FaultedBoard fb(cfg, planFromAtoms(original, {}));
+    FaultInjector inj(fb.board, fb.supply, original, /*observeOnly=*/true);
+    board::Snapshot snap;
+    InjectorState snapState;
+    bool captured = false;
+    bool armed = true;
+    inj.setHook([&](const CountedEvent &ev) {
+        // Safety is monotone — census and clock only grow — so the
+        // first unsafe event disarms capturing for good.
+        if (!armed)
+            return;
+        if (!atomsAhead(original, inj.state(), fb.board.now())) {
+            armed = false;
+            return;
+        }
+        if (!ev.isStore && ev.boundary == Boundary::Boot) {
+            // A power-on fires from traceBoot(), before the run loop
+            // emits the Boot event — so the captured ring mark excludes
+            // it and the phase is patched to BootNoTrace: the resumed
+            // loop emits the event exactly once and never re-announces
+            // the boot to the injector.
+            fb.board.snapshot(snap, /*withFiber=*/false);
+            snap.phase = board::RunPhase::BootNoTrace;
+        } else if (!fb.board.ctx().inside() ||
+                   !fb.board.snapshot(snap, /*withFiber=*/true)) {
+            // A scheduler-side event (the boot capture covers those),
+            // or a forked evaluation resuming here: the event completes
+            // in the injector under the candidate plan.
+            return;
+        }
+        snapState = inj.state();
+        captured = true;
+    });
+    mem::ScopedSink as(&inj);
+    harness::ScenarioInstance env = spec.make(fb.board);
     mem::WriteJournal journal;
     mem::ScopedWriteJournal sj(&journal);
-    board.beginRun(*env.runtime, env.entry, cfg.budget);
-    const analysis::BoundReference oracle = bindReference(ref, board);
-    board.continueRun();
-    rec.disarm();
-
-    FaultInjector inj(board, *sup, original, /*observeOnly=*/false);
+    fb.board.beginRun(*env.runtime, env.entry, cfg.budget);
+    const analysis::BoundReference oracle = bindReference(ref, fb.board);
+    fb.board.continueRun();
+    // The hook stays installed, disarmed: every evaluation that resumes
+    // a fiber capture returns through it.
+    armed = false;
 
     const PlanEval eval = [&](const FaultPlan &p) -> PlanProbe {
         PlanProbe probe;
-        if (!rec.planSafeFrom(p)) {
+        if (!captured || !atomsAhead(p, snapState, snap.now)) {
             // Absolutized confirmation plans (or a capture that never
-            // happened) fall back to a full from-boot evaluation.
+            // happened) fall back to a full from-boot evaluation, on a
+            // board of its own that this journal must not record.
+            mem::ScopedWriteJournal noJournal(nullptr);
             const PairRunOutcome sub =
                 runPairWithPlan(cfg, spec, p, /*observe=*/false);
             probe.cls = classifyOutcome(ref, sub);
@@ -716,20 +470,14 @@ forkShrinkViolation(const CampaignConfig &cfg, const PairSpec &spec,
             probe.cycles = sub.res.cycles;
             return probe;
         }
-        board.restore(rec.snap());
+        fb.board.restore(snap);
         inj.rebind(&p, /*observeOnly=*/false);
-        inj.setState(rec.stateAt());
-        std::vector<TimeNs> abs;
-        for (const auto &c : p.cuts)
-            if (c.absolute)
-                abs.push_back(c.atNs);
-        std::sort(abs.begin(), abs.end());
-        sup->scheduleAbsolute(std::move(abs));
-        const Cycles before = board.mcu().cycles();
-        mem::ScopedSink evalSink(&inj);
-        const board::RunResult res = board.continueRun();
+        inj.setState(snapState);
+        fb.supply.scheduleAbsolute(absoluteCuts(p));
+        const Cycles before = fb.board.mcu().cycles();
+        const board::RunResult res = fb.board.continueRun();
         probe.cls = judgeLeaf(oracle, env, res);
-        probe.firedCuts = sup->firedAt(); // restore rolled these back
+        probe.firedCuts = fb.supply.firedAt(); // restore rolled these back
         probe.cycles = res.cycles - before;
         return probe;
     };

@@ -5,14 +5,17 @@
  *
  * The random/systematic campaign (fault/campaign.*) samples the
  * failure space; the explorer *enumerates* it. One recording pass per
- * pair runs the application failure-free with an ExploreSink installed
- * and takes a light board::Snapshot at every decision point — each
- * boundary event and each gated NV store. The driver then walks the
+ * pair runs the application failure-free under an observe-mode
+ * FaultInjector whose recording hook takes a light board::Snapshot at
+ * every decision point — each boundary event and each gated NV store —
+ * together with the injector's state. The explorer then walks the
  * decision list newest-first (write-journal marks only roll backward),
- * restores each snapshot in place, and branches over the local fault
- * alphabet: die here, or — at a store — land one of the distinct torn
- * images and then die. Each branch is driven to a leaf and classified
- * against the pair's golden reference exactly like a campaign subject.
+ * restores each snapshot in place, reseeds the injector with setState(),
+ * and branches over the local fault alphabet: die here, or — at a store
+ * — land one of the distinct torn images and then die. Each branch is
+ * driven to a leaf and classified against the pair's golden reference
+ * exactly like a campaign subject; the faults on the way form the
+ * leaf's FaultPlan.
  *
  * With maxFaults > 1 every branch leaf is itself re-recorded and
  * explored recursively, enumerating all schedules of up to that many
@@ -23,12 +26,14 @@
  * injector replay, and ddmin-minimized when they carry more than one
  * atom.
  *
- * The same snapshot machinery powers forkShrinkViolation(): the ddmin
- * shrinker evaluates candidate plans by restoring the latest snapshot
- * from which every atom of the original plan still lies ahead and
- * executing only the suffix, instead of re-running from boot. Minimal
- * plans are identical by construction (shrinkPlanWith is pure in its
- * evaluator); Violation::shrinkCycles measures the saving.
+ * The same snapshot machinery powers forkShrinkViolation(): a second
+ * recording hook keeps the latest fiber snapshot from which every atom
+ * of the original plan still lies ahead (atomsAhead()), and the ddmin
+ * shrinker evaluates each candidate plan by restoring it and rebinding
+ * the same injector to the candidate, executing only the suffix instead
+ * of re-running from boot. Minimal plans are identical by construction
+ * (shrinkPlanWith is pure in its evaluator); Violation::shrinkCycles
+ * measures the saving.
  */
 
 #ifndef TICSIM_FAULT_EXPLORE_HPP
@@ -43,9 +48,8 @@
 namespace ticsim::fault {
 
 struct ExploreConfig {
-    /** Seed, budget, off window, app params; base.jobs is ignored
-     *  (the explorer shards with its own jobs field below). */
-    CampaignConfig base{};
+    /** Seed, budget, off window and app sizes of every explored run. */
+    PairConfig base{};
     /** Maximum faults per explored schedule (exploration depth). */
     std::uint32_t maxFaults = 1;
     /**
@@ -133,7 +137,7 @@ ExploreReport exploreMatrix(const ExploreConfig &cfg,
  * but absolutized confirmation plans are also routed through it).
  * Drop-in replacement for shrinkViolationFromBoot().
  */
-Violation forkShrinkViolation(const CampaignConfig &cfg,
+Violation forkShrinkViolation(const PairConfig &cfg,
                               const PairSpec &spec,
                               const PairRunOutcome &ref,
                               const FaultPlan &original,

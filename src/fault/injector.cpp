@@ -159,6 +159,35 @@ FaultedSupply::loadState(StateReader &r)
 
 // ---- FaultInjector ---------------------------------------------------------
 
+std::vector<TimeNs>
+absoluteCuts(const FaultPlan &plan)
+{
+    std::vector<TimeNs> abs;
+    for (const auto &c : plan.cuts)
+        if (c.absolute)
+            abs.push_back(c.atNs);
+    std::sort(abs.begin(), abs.end());
+    return abs;
+}
+
+bool
+atomsAhead(const FaultPlan &plan, const InjectorState &s, TimeNs now)
+{
+    for (const auto &c : plan.cuts) {
+        if (c.absolute ? now >= c.atNs
+                       : s.census.boundary[static_cast<int>(c.boundary)] >=
+                             c.occurrence)
+            return false;
+    }
+    for (const auto &t : plan.tears)
+        if (s.census.stores[static_cast<int>(t.site)] >= t.occurrence)
+            return false;
+    for (const auto &f : plan.flips)
+        if (s.boots >= f.outageIndex + 1)
+            return false;
+    return true;
+}
+
 FaultInjector::FaultInjector(board::Board &board, FaultedSupply &supply,
                              const FaultPlan &plan, bool observeOnly)
     : board_(board), supply_(supply), plan_(&plan), observe_(observeOnly)
@@ -186,28 +215,12 @@ FaultInjector::rebind(const FaultPlan *plan, bool observeOnly)
     resizeFirings();
 }
 
-InjectorState
-FaultInjector::state() const
-{
-    InjectorState s;
-    s.census = census_;
-    s.started = started_;
-    s.boots = boots_;
-    return s;
-}
-
-void
-FaultInjector::setState(const InjectorState &s)
-{
-    census_ = s.census;
-    started_ = s.started;
-    boots_ = s.boots;
-}
-
 void
 FaultInjector::note(Boundary b)
 {
-    const std::uint64_t occ = ++census_.boundary[static_cast<int>(b)];
+    const std::uint64_t occ = ++st_.census.boundary[static_cast<int>(b)];
+    if (hook_)
+        hook_(CountedEvent{.boundary = b});
     if (observe_)
         return;
     for (std::size_t i = 0; i < plan_->cuts.size(); ++i) {
@@ -224,12 +237,12 @@ FaultInjector::note(Boundary b)
 void
 FaultInjector::powerOn()
 {
-    started_ = true;
-    ++boots_;
-    if (!observe_ && boots_ >= 2) {
+    st_.started = true;
+    ++st_.boots;
+    if (!observe_ && st_.boots >= 2) {
         // Off window N separates powerOn N from powerOn N+1.
         for (std::size_t i = 0; i < plan_->flips.size(); ++i) {
-            if (plan_->flips[i].outageIndex + 1 == boots_)
+            if (plan_->flips[i].outageIndex + 1 == st_.boots)
                 applyFlip(plan_->flips[i], i);
         }
     }
@@ -253,16 +266,19 @@ void
 FaultInjector::store(mem::StoreSite site, void *dst, const void *src,
                      std::uint32_t bytes)
 {
-    if (!started_) {
+    if (!st_.started) {
         // Construction-time stores happen at "programming time", before
         // the first power-on; they are not part of the fault universe.
         std::memcpy(dst, src, bytes);
         return;
     }
     const int s = static_cast<int>(site);
-    const std::uint64_t occ = ++census_.stores[s];
-    census_.maxStoreBytes[s] =
-        std::max(census_.maxStoreBytes[s], bytes);
+    const std::uint64_t occ = ++st_.census.stores[s];
+    st_.census.maxStoreBytes[s] =
+        std::max(st_.census.maxStoreBytes[s], bytes);
+    if (hook_)
+        hook_(CountedEvent{.isStore = true, .site = site, .dst = dst,
+                           .src = src, .bytes = bytes});
     if (!observe_) {
         for (std::size_t i = 0; i < plan_->tears.size(); ++i) {
             const auto &t = plan_->tears[i];
@@ -342,7 +358,7 @@ FaultInjector::applyFlip(const BitFlip &f, std::size_t atomIdx)
             *cell ^= f.mask;
             ++flips_;
             flipFired_[atomIdx].fired = true;
-            flipFired_[atomIdx].occurrence = boots_;
+            flipFired_[atomIdx].occurrence = st_.boots;
             flipFired_[atomIdx].at = board_.now();
             return;
         }

@@ -1,9 +1,9 @@
 /**
  * @file
  * Fault execution machinery: a Supply decorator that fires scheduled
- * power cuts, and an AccessSink that counts boundary events, arms
- * boundary-anchored cuts, tears gated NV stores, and flips retention
- * bits between charge windows.
+ * power cuts, and the one AccessSink of the fault subsystem. It counts
+ * boundary events and gated stores, arms boundary-anchored cuts, tears
+ * gated NV stores, and flips retention bits between charge windows.
  *
  * The same FaultInjector runs in two modes. In observe mode it only
  * counts — the campaign's reference run uses this to learn how many
@@ -12,11 +12,19 @@
  * mode it additionally executes a FaultPlan. Occurrence counting is
  * identical in both modes (and excludes pre-run construction stores),
  * so "the 3rd commit" means the same instant in both.
+ *
+ * An optional recording hook sees every event the census counts, right
+ * after it is counted and before a store lands. The exhaustive
+ * explorer's recording pass and the fork shrinker's snapshot capture
+ * are two such hooks on an observe-mode injector (explore.cpp); the
+ * same injector then replays their branches and candidate plans with
+ * setState() and rebind().
  */
 
 #ifndef TICSIM_FAULT_INJECTOR_HPP
 #define TICSIM_FAULT_INJECTOR_HPP
 
+#include <functional>
 #include <memory>
 
 #include "board/board.hpp"
@@ -123,13 +131,38 @@ struct AtomFiring {
 };
 
 /** The injector's replayable progress state: everything occurrence
- *  counting depends on. The fork shrinker seeds a fresh injector with
- *  the state recorded at its snapshot point so "the 3rd commit" keeps
- *  meaning the same instant in a resumed run. */
+ *  counting depends on. A run restored to a snapshot reseeds the
+ *  injector with the state recorded there, so "the 3rd commit" keeps
+ *  meaning the same instant in the resumed run. */
 struct InjectorState {
     EventCensus census{};
-    bool started = false;
+    bool started = false; ///< first powerOn seen; stores count from here
     std::uint64_t boots = 0;
+};
+
+/** The sorted instants of @p plan's absolute cuts, as
+ *  FaultedSupply::scheduleAbsolute() takes them. */
+std::vector<TimeNs> absoluteCuts(const FaultPlan &plan);
+
+/**
+ * Whether every atom of @p plan still lies strictly ahead of a run that
+ * has counted @p s by virtual time @p now: no boundary or store
+ * occurrence it targets is counted yet, no absolute cut instant is
+ * reached, and no off window it flips into has begun. A run resumed
+ * from such a point under @p plan (or any subset of it) executes
+ * exactly the faults a from-boot run would.
+ */
+bool atomsAhead(const FaultPlan &plan, const InjectorState &s, TimeNs now);
+
+/** One event the census just counted, as the recording hook sees it:
+ *  a boundary, or a gated store whose bytes have not landed yet. */
+struct CountedEvent {
+    bool isStore = false;
+    Boundary boundary = Boundary::Boot;              ///< !isStore
+    mem::StoreSite site = mem::StoreSite::AppGlobal; ///< isStore
+    void *dst = nullptr;                             ///< isStore
+    const void *src = nullptr;                       ///< isStore
+    std::uint32_t bytes = 0;                         ///< isStore
 };
 
 /**
@@ -140,6 +173,9 @@ struct InjectorState {
 class FaultInjector : public mem::AccessSink
 {
   public:
+    /** Called at every counted event; see setHook(). */
+    using Hook = std::function<void(const CountedEvent &)>;
+
     /**
      * @param observeOnly Count events but inject nothing (the plan's
      *        cuts/tears/flips are ignored; its offNs still applies to
@@ -155,7 +191,7 @@ class FaultInjector : public mem::AccessSink
     void store(mem::StoreSite site, void *dst, const void *src,
                std::uint32_t bytes) override;
 
-    const EventCensus &census() const { return census_; }
+    const EventCensus &census() const { return st_.census; }
     std::uint64_t tearsApplied() const { return tears_; }
     std::uint64_t flipsApplied() const { return flips_; }
     /** Flips whose region name matched no NV region (plan bugs). */
@@ -169,8 +205,19 @@ class FaultInjector : public mem::AccessSink
      */
     void rebind(const FaultPlan *plan, bool observeOnly);
 
-    InjectorState state() const;
-    void setState(const InjectorState &s);
+    const InjectorState &state() const { return st_; }
+    void setState(const InjectorState &s) { st_ = s; }
+
+    /**
+     * Call @p hook (empty = none) at every event the census counts:
+     * each power-on, each boundary, and each gated store after the
+     * first power-on. It runs after the event is counted — state()
+     * already includes it — and before the plan's cut or tear at that
+     * event is checked, so before a store lands. A fiber snapshot taken
+     * inside the hook therefore resumes into the same path: the event
+     * completes under whatever plan the injector is bound to by then.
+     */
+    void setHook(Hook hook) { hook_ = std::move(hook); }
 
     /** Per-atom trigger records, indexed like the plan's vectors.
      *  Relative cuts are marked fired when their boundary arms the
@@ -188,15 +235,14 @@ class FaultInjector : public mem::AccessSink
     FaultedSupply &supply_;
     const FaultPlan *plan_;
     bool observe_;
-    bool started_ = false; ///< first powerOn seen; stores count from here
-    std::uint64_t boots_ = 0;
-    EventCensus census_;
+    InjectorState st_;
     std::uint64_t tears_ = 0;
     std::uint64_t flips_ = 0;
     std::uint64_t flipsUnmatched_ = 0;
     std::vector<AtomFiring> cutFired_;
     std::vector<AtomFiring> tearFired_;
     std::vector<AtomFiring> flipFired_;
+    Hook hook_;
 };
 
 } // namespace ticsim::fault

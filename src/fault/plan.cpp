@@ -1,9 +1,8 @@
 #include "plan.hpp"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+
+#include "support/parse.hpp"
 
 namespace ticsim::fault {
 
@@ -14,11 +13,6 @@ const char *const kBoundaryNames[kBoundaryCount] = {
 };
 
 const char *const kTearModeNames[3] = {"prefix", "garbage", "interleave"};
-
-/** Largest plan time (absolute cut, delay, off window): below 2^62 ns,
- *  the bound EnvTrace::parse uses, so the simulator's now + delay and
- *  now + off cannot wrap. */
-constexpr std::uint64_t kMaxPlanNs = (std::uint64_t{1} << 62) - 1;
 
 std::vector<std::string>
 split(const std::string &s, char sep)
@@ -35,28 +29,6 @@ split(const std::string &s, char sep)
         start = end + 1;
     }
     return out;
-}
-
-/** Parse a plan number no larger than @p max; out of range is an
- *  error, never a clamp or a truncation. */
-bool
-parseU64(const std::string &s, std::uint64_t &out,
-         std::uint64_t max = UINT64_MAX, int base = 10)
-{
-    if (s.empty())
-        return false;
-    // strtoull tolerates leading whitespace and '-' (which wraps to a
-    // huge value); a plan number must start with a digit of its base.
-    const auto first = static_cast<unsigned char>(s[0]);
-    if (base == 16 ? !std::isxdigit(first) : !std::isdigit(first))
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, base);
-    if (end != s.c_str() + s.size() || errno == ERANGE || v > max)
-        return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
 }
 
 bool
@@ -78,7 +50,7 @@ parseCut(const std::string &body, PowerCut &c, std::string *err)
     const std::string rest = body.substr(colon + 1);
     if (anchor == "t") {
         std::uint64_t at = 0;
-        if (!parseU64(rest, at, kMaxPlanNs))
+        if (!parseU64(rest, at, kMaxTimeNs))
             return fail(err, "cut: bad absolute time \"" + rest + "\"");
         c.absolute = true;
         c.atNs = static_cast<TimeNs>(at);
@@ -95,7 +67,7 @@ parseCut(const std::string &body, PowerCut &c, std::string *err)
     c.delayNs = 0;
     if (plus != std::string::npos) {
         std::uint64_t d = 0;
-        if (!parseU64(rest.substr(plus + 1), d, kMaxPlanNs))
+        if (!parseU64(rest.substr(plus + 1), d, kMaxTimeNs))
             return fail(err, "cut: bad delay in \"" + rest + "\"");
         c.delayNs = static_cast<TimeNs>(d);
     }
@@ -286,7 +258,7 @@ FaultPlan::parse(const std::string &s, FaultPlan &out, std::string *err)
             continue;
         if (atom.rfind("off:", 0) == 0) {
             std::uint64_t off = 0;
-            if (!parseU64(atom.substr(4), off, kMaxPlanNs))
+            if (!parseU64(atom.substr(4), off, kMaxTimeNs))
                 return fail(err, "bad off time \"" + atom + "\"");
             p.offNs = static_cast<TimeNs>(off);
             continue;

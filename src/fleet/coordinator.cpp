@@ -446,11 +446,18 @@ runFleet(const FleetConfig &cfg)
                                                   wallStart)
             .count();
     out.sweep.jobs = shardCount;
+    // A cell no worker finished has no result: list only the cells that
+    // ran, so that neither the table, the grid section nor the
+    // aggregates count a missing cell as one that ran and failed. The
+    // fleet section and the [INCOMPLETE] line account for the hole.
+    std::vector<sweep::SweepCellOutcome> ran;
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        if (filled[i])
+            ran.push_back(std::move(out.sweep.cells[i]));
+    out.sweep.cells = std::move(ran);
     if (cfg.sweep.useCache) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            if (!filled[i])
-                continue;
-            if (out.sweep.cells[i].fromCache)
+        for (const sweep::SweepCellOutcome &c : out.sweep.cells) {
+            if (c.fromCache)
                 ++out.sweep.cacheHits;
             else
                 ++out.sweep.cacheMisses;

@@ -64,7 +64,9 @@ struct FleetConfig {
 };
 
 struct FleetResult {
-    sweep::SweepResult sweep; ///< index-ordered, same as runSweep()
+    /** Index-ordered, same as runSweep(); an incomplete run lists
+     *  only the cells that produced a result. */
+    sweep::SweepResult sweep;
     harness::FleetSection fleet;
     /** True when every cell produced a result. */
     bool complete = false;

@@ -35,6 +35,10 @@ constexpr TimeNs kNsPerUs = 1000ULL;
 constexpr TimeNs kNsPerMs = 1000ULL * kNsPerUs;
 constexpr TimeNs kNsPerSec = 1000ULL * kNsPerMs;
 
+/** Largest time a fault plan or a command-line flag may name: below
+ *  2^62 ns, so the simulator's now + delay and now + off cannot wrap. */
+constexpr TimeNs kMaxTimeNs = (TimeNs{1} << 62) - 1;
+
 /** Convert nanoseconds to (truncated) microseconds. */
 constexpr std::uint64_t
 nsToUs(TimeNs t)

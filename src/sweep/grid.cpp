@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "harness/scenario.hpp"
+#include "support/parse.hpp"
 
 namespace ticsim::sweep {
 
@@ -76,30 +77,6 @@ splitList(const std::string &s, char sep)
             out.push_back(item);
     }
     return out;
-}
-
-bool
-parseDouble(const std::string &s, double &out)
-{
-    try {
-        std::size_t used = 0;
-        out = std::stod(s, &used);
-        return used == s.size();
-    } catch (...) {
-        return false;
-    }
-}
-
-bool
-parseU64(const std::string &s, std::uint64_t &out)
-{
-    try {
-        std::size_t used = 0;
-        out = std::stoull(s, &used);
-        return used == s.size();
-    } catch (...) {
-        return false;
-    }
 }
 
 } // namespace
@@ -367,7 +344,7 @@ parseAxis(GridSpec &spec, const std::string &key,
         spec.segments.clear();
         for (const auto &it : items) {
             std::uint64_t v = 0;
-            if (!parseU64(it, v) || v == 0 || v > (1u << 20)) {
+            if (!parseU64(it, v, 1u << 20) || v == 0) {
                 err = "bad segment size '" + it + "'";
                 return false;
             }

@@ -460,10 +460,10 @@ replayVerdict(const std::string &pair, const std::string &planText)
     fault::FaultPlan plan;
     std::string err;
     EXPECT_TRUE(fault::FaultPlan::parse(planText, plan, &err)) << err;
-    std::string verdict;
+    fault::ReplayDetail detail;
     EXPECT_TRUE(
-        fault::replayPlan(smallCampaign(), pair, plan, verdict));
-    return verdict;
+        fault::replayPlanDetailed(smallCampaign(), pair, plan, detail));
+    return detail.verdict;
 }
 
 } // namespace
@@ -520,9 +520,9 @@ TEST(FaultReplay, PlainCTornStoreViolates)
 TEST(FaultReplay, UnknownPairIsReported)
 {
     fault::FaultPlan plan;
-    std::string verdict;
-    EXPECT_FALSE(fault::replayPlan(smallCampaign(), "Nope/Nada", plan,
-                                   verdict));
+    fault::ReplayDetail detail;
+    EXPECT_FALSE(fault::replayPlanDetailed(smallCampaign(), "Nope/Nada",
+                                           plan, detail));
 }
 
 // ---- Campaign --------------------------------------------------------------

@@ -26,6 +26,7 @@
 
 #include "fleet/coordinator.hpp"
 #include "fleet/protocol.hpp"
+#include "support/parse.hpp"
 #include "sweep/cache.hpp"
 #include "sweep/grid.hpp"
 #include "sweep/sweep.hpp"
@@ -375,6 +376,35 @@ TEST(FleetE2E, MissingWorkerBinaryReportsIncomplete)
     EXPECT_FALSE(result.complete);
     EXPECT_EQ(result.fleet.cellsCompleted, 0u);
     EXPECT_GE(result.fleet.crashes, 1u);
+    // No cell ran, so none is listed or aggregated as a failed one.
+    EXPECT_TRUE(result.sweep.cells.empty());
+    EXPECT_TRUE(result.sweep.aggregates.empty());
+}
+
+TEST(FleetE2E, CellsOfAnIncompleteRunAreTheOnesThatRan)
+{
+    fleet::FleetConfig cfg = e2eConfig();
+    const sweep::SweepResult serial = sweep::runSweep(cfg.sweep);
+
+    // Shard 0 dies after one result and may not be retried.
+    cfg.workers = 2;
+    cfg.killWorkerShard = 0;
+    cfg.maxRetries = 0;
+    const fleet::FleetResult result = fleet::runFleet(cfg);
+    EXPECT_FALSE(result.complete);
+    EXPECT_LT(result.fleet.cellsCompleted, serial.cells.size());
+    ASSERT_EQ(result.sweep.cells.size(), result.fleet.cellsCompleted);
+    for (const sweep::SweepCellOutcome &c : result.sweep.cells) {
+        bool found = false;
+        for (const sweep::SweepCellOutcome &s : serial.cells) {
+            if (s.cell.jobId() != c.cell.jobId())
+                continue;
+            found = true;
+            EXPECT_EQ(c.result.encode(), s.result.encode())
+                << c.cell.canonical();
+        }
+        EXPECT_TRUE(found) << c.cell.canonical();
+    }
 }
 
 /** Run ticssweep with @p args, output discarded; @return its exit
@@ -432,6 +462,19 @@ TEST(FleetE2E, CliRejectsFlagsOfTheOtherMode)
     EXPECT_EQ(runTicssweep(grid + "--require-complete --workers 0"), 2);
     // Worker processes run their cells one at a time.
     EXPECT_EQ(runTicssweep(grid + "--jobs 2 --workers 2"), 2);
+    // A number flag or axis takes a whole, in-range number or nothing.
+    // On this one-cell grid a wrongly accepted count still starts at
+    // most one thread or worker.
+    EXPECT_EQ(runTicssweep(grid + "--workers abc"), 2);
+    EXPECT_EQ(runTicssweep(grid + "--workers -1"), 2);
+    EXPECT_EQ(runTicssweep(grid + "--jobs 2x"), 2);
+    EXPECT_EQ(runTicssweep("--apps BC --runtimes plain-C --seeds -3 "
+                           "--no-cache"),
+              2);
+    EXPECT_EQ(runTicssweep(grid + "--max-seconds nan --workers 1"), 2);
+    const std::string overBound = std::to_string(kMaxJobs + 1);
+    EXPECT_EQ(runTicssweep(grid + "--jobs " + overBound), 2);
+    EXPECT_EQ(runTicssweep(grid + "--workers " + overBound), 2);
     // Each flag is accepted in its own mode.
     EXPECT_EQ(runTicssweep(grid + "--max-seconds 60 --workers 1"), 0);
     EXPECT_EQ(runTicssweep(grid + "--jobs 2"), 0);

@@ -4,7 +4,8 @@
  * across the whole campaign matrix (byte-identical NV, identical
  * RunResult, identical event timeline vs a from-scratch run), board
  * isolation under concurrent exploration, the exhaustive explorer's
- * protection-split and shard-count invariance, and ddmin-via-fork
+ * protection-split and shard-count invariance and its decision census
+ * against the reference run's event census, and ddmin-via-fork
  * parity (same minimal plans as the from-boot shrinker, fewer
  * simulated cycles), and the explorer's bound replay reference against
  * capture-and-diff on real arenas — after from-boot fault plans and
@@ -45,7 +46,7 @@ smallConfig()
 }
 
 fault::PairSpec
-findPair(const fault::CampaignConfig &cfg, const std::string &app,
+findPair(const fault::PairConfig &cfg, const std::string &app,
          const std::string &runtime)
 {
     for (fault::PairSpec &s : fault::campaignPairs(cfg))
@@ -469,6 +470,30 @@ TEST(ExploreSplit, PlainCViolationsAreFoundAndConfirmed)
         std::string err;
         EXPECT_TRUE(fault::FaultPlan::parse(v.plan, p, &err))
             << v.plan << ": " << err;
+    }
+}
+
+TEST(ExploreSplit, DecisionPointsAreTheReferenceCensusOnEveryPair)
+{
+    // The explorer records through the same injector that counts the
+    // campaign's reference census, so its top-level recording holds one
+    // decision per counted boundary and gated store — on every pair.
+    fault::ExploreConfig cfg;
+    cfg.base = smallConfig();
+    for (const fault::PairSpec &spec : fault::campaignPairs(cfg.base)) {
+        SCOPED_TRACE(spec.app + "/" + spec.runtime);
+        const fault::PairRunOutcome ref = fault::runPairWithPlan(
+            cfg.base, spec, fault::FaultPlan{}, /*observe=*/true);
+        ASSERT_TRUE(ref.res.completed);
+        std::uint64_t counted = 0;
+        for (const std::uint64_t n : ref.census.boundary)
+            counted += n;
+        for (const std::uint64_t n : ref.census.stores)
+            counted += n;
+        const fault::PairExploreResult r = fault::explorePair(cfg, spec);
+        EXPECT_TRUE(r.recordingConsistent);
+        EXPECT_GT(r.decisionPoints, 0u);
+        EXPECT_EQ(r.decisionPoints, counted);
     }
 }
 

@@ -184,6 +184,7 @@ TEST(Grid, ParseSupplyTokens)
     EXPECT_FALSE(sweep::parseSupplyToken("pattern:0:0.5", a));
     EXPECT_FALSE(sweep::parseSupplyToken("pattern:30:1.5", a));
     EXPECT_FALSE(sweep::parseSupplyToken("pattern:30", a));
+    EXPECT_FALSE(sweep::parseSupplyToken("pattern:30:nan", a));
     EXPECT_FALSE(sweep::parseSupplyToken("solar", a));
 }
 
@@ -196,6 +197,15 @@ TEST(Grid, ParseAxisRejectsBadInput)
     EXPECT_FALSE(sweep::parseAxis(spec, "apps", "AR, quake", err));
     EXPECT_FALSE(sweep::parseAxis(spec, "segments", "0", err));
     EXPECT_FALSE(sweep::parseAxis(spec, "seeds", "eleven", err));
+    // Numbers are strict: no sign on a count, nothing non-finite, no
+    // hex, nothing past the axis bound.
+    EXPECT_FALSE(sweep::parseAxis(spec, "seeds", "-3", err));
+    EXPECT_FALSE(sweep::parseAxis(spec, "seeds", "+5", err));
+    EXPECT_FALSE(sweep::parseAxis(spec, "caps_uf", "nan", err));
+    EXPECT_FALSE(sweep::parseAxis(spec, "caps_uf", "inf", err));
+    EXPECT_FALSE(sweep::parseAxis(spec, "caps_uf", "0x10", err));
+    EXPECT_FALSE(sweep::parseAxis(spec, "segments", "1048577", err));
+    EXPECT_TRUE(sweep::parseAxis(spec, "segments", "1048576", err));
 
     EXPECT_TRUE(sweep::parseAxis(spec, "apps", "ar, bc", err));
     ASSERT_EQ(spec.apps.size(), 2u);

@@ -32,8 +32,8 @@ flags, that every violation references an explored pair, and that
 each pair's confirmed_violations count equals the number of its
 confirmed violation rows; and for version-8 `fleet` documents that the
 completion flag, cell counts, per-shard accounts and the retry/crash
-bookkeeping are mutually consistent, and that cells_total matches the
-grid section the fleet ran.
+bookkeeping are mutually consistent, and that cells_completed matches
+the grid section, which lists only the cells that produced a result.
 
 Exit status: 0 when every report validates, 1 otherwise.
 """
@@ -424,10 +424,10 @@ def validate_fleet(fleet, grid):
         raise ValueError(
             f"fleet: complete {fleet['complete']} inconsistent with "
             f"{done}/{total} cells")
-    if grid is not None and total != len(grid["cells"]):
+    if grid is not None and done != len(grid["cells"]):
         raise ValueError(
-            f"fleet: cells_total {total} != {len(grid['cells'])} grid "
-            f"cells in the same document")
+            f"fleet: cells_completed {done} != {len(grid['cells'])} "
+            f"grid cells in the same document")
 
     workers = fleet["workers"]
     shards = [w["shard"] for w in workers]
