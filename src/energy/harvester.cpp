@@ -93,35 +93,6 @@ RfHarvester::recompute()
     harvested_ = txEirpW_ * rxGain_ * factor * factor * efficiency_;
 }
 
-TraceHarvester::TraceHarvester(std::vector<std::pair<TimeNs, Watts>> points,
-                               TimeNs repeatEvery)
-    : points_(std::move(points)), repeatEvery_(repeatEvery)
-{
-    if (points_.empty())
-        fatal("trace harvester: empty trace");
-    for (std::size_t i = 1; i < points_.size(); ++i) {
-        if (points_[i].first < points_[i - 1].first)
-            fatal("trace harvester: breakpoints not sorted");
-    }
-    if (repeatEvery_ != 0 && points_.back().first >= repeatEvery_)
-        fatal("trace harvester: trace longer than repeat period");
-}
-
-Watts
-TraceHarvester::power(TimeNs now)
-{
-    TimeNs t = repeatEvery_ ? now % repeatEvery_ : now;
-    // Find the last breakpoint at or before t.
-    auto it = std::upper_bound(
-        points_.begin(), points_.end(), t,
-        [](TimeNs v, const std::pair<TimeNs, Watts> &p) {
-            return v < p.first;
-        });
-    if (it == points_.begin())
-        return 0.0; // before the first breakpoint
-    return std::prev(it)->second;
-}
-
 StochasticHarvester::StochasticHarvester(Watts meanPower, TimeNs meanOnNs,
                                          TimeNs meanOffNs, Rng rng)
     : meanPower_(meanPower), meanOnNs_(meanOnNs), meanOffNs_(meanOffNs),

@@ -6,10 +6,10 @@
  *
  * The paper's Table 2 / Fig. 8 experiments power the board wirelessly
  * from a Powercast TX91501-3W 915 MHz transmitter; RfHarvester models
- * that link with free-space path loss. Square-wave and trace-driven
- * harvesters cover the remaining experiment shapes, and the stochastic
- * harvester produces the irregular outages that drive data-expiration
- * behaviour.
+ * that link with free-space path loss. A square-wave harvester covers
+ * the remaining experiment shapes, and the stochastic harvester
+ * produces the irregular outages that drive data-expiration behaviour.
+ * Recorded environment traces drive a whole supply (TraceSupply).
  */
 
 #ifndef TICSIM_ENERGY_HARVESTER_HPP
@@ -115,25 +115,6 @@ class RfHarvester : public Harvester
      *  block skips the std::pow. setFading() drops it. */
     std::optional<std::uint64_t> fadeBlock_;
     double fadeGain_ = 1.0;
-};
-
-/** Piecewise-constant power trace: (start time, power) breakpoints. */
-class TraceHarvester : public Harvester
-{
-  public:
-    /**
-     * @param points Breakpoints sorted by time; power holds from each
-     *               breakpoint until the next (and the last forever).
-     * @param repeatEvery If nonzero, the trace wraps with this period.
-     */
-    explicit TraceHarvester(std::vector<std::pair<TimeNs, Watts>> points,
-                            TimeNs repeatEvery = 0);
-
-    Watts power(TimeNs now) override;
-
-  private:
-    std::vector<std::pair<TimeNs, Watts>> points_;
-    TimeNs repeatEvery_;
 };
 
 /**

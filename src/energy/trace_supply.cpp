@@ -23,13 +23,10 @@ namespace {
 
 std::mutex g_traceMutex;
 std::map<std::string, std::shared_ptr<const EnvTrace>> g_traceCache;
-std::string g_traceDirOverride;
 
 std::string
 traceDir()
 {
-    if (!g_traceDirOverride.empty())
-        return g_traceDirOverride;
     if (const char *env = std::getenv("TICSIM_TRACE_DIR");
         env && *env)
         return env;
@@ -384,14 +381,6 @@ TraceSupply::offsetForSeed(std::uint64_t seed, const EnvTrace &trace)
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     z ^= z >> 31;
     return static_cast<TimeNs>(z % trace.duration());
-}
-
-void
-TraceSupply::setTraceDir(const std::string &dir)
-{
-    std::lock_guard<std::mutex> lock(g_traceMutex);
-    g_traceDirOverride = dir;
-    g_traceCache.clear();
 }
 
 } // namespace ticsim::energy

@@ -11,7 +11,7 @@
  * samples, wrap-around or clamp past the end), so the supply's entire
  * mutable state is the capacitor voltage. saveState()/loadState()
  * serialize exactly that, which is what makes snapshot/restore replay
- * (the ticsmc journal contract) byte-identical: any mid-trace boot
+ * (the explorer's journal contract) byte-identical: any mid-trace boot
  * finds its sample segment again by binary search.
  *
  * The off-time path walks the trace one segment at a time: one binary
@@ -214,10 +214,6 @@ class TraceSupply : public Supply
      */
     static TimeNs offsetForSeed(std::uint64_t seed,
                                 const EnvTrace &trace);
-
-    /** Override the trace directory (tests); empty restores the
-     *  default resolution order. */
-    static void setTraceDir(const std::string &dir);
 
   private:
     /** Step from absolute time @p t, @p off into the outage, through

@@ -16,6 +16,16 @@ namespace ticsim::fault {
 
 namespace {
 
+/** Whether @p name matches one of @p wanted (all of them when empty). */
+bool
+nameMatches(const std::vector<std::string> &wanted, std::string_view name,
+            bool (*same)(std::string_view, std::string_view))
+{
+    return wanted.empty() ||
+           std::any_of(wanted.begin(), wanted.end(),
+                       [&](const std::string &w) { return same(w, name); });
+}
+
 /** {first, middle, last} occurrences of a counted event, deduplicated. */
 std::vector<std::uint64_t>
 probePoints(std::uint64_t count)
@@ -216,11 +226,10 @@ FaultedBoard::FaultedBoard(const PairConfig &cfg, const FaultPlan &plan)
 
 PairRunOutcome
 runPairWithPlan(const PairConfig &cfg, const PairSpec &spec,
-                const FaultPlan &plan, bool observe)
+                const FaultPlan &plan)
 {
-    // Observe mode injects nothing: not even the absolute cuts.
-    FaultedBoard fb(cfg, observe ? planFromAtoms(plan, {}) : plan);
-    FaultInjector inj(fb.board, fb.supply, plan, observe);
+    FaultedBoard fb(cfg, plan);
+    FaultInjector inj(fb.board, fb.supply, plan);
     mem::ScopedSink sink(&inj);
 
     PairRunOutcome out;
@@ -405,7 +414,7 @@ shrinkViolationFromBoot(const PairConfig &cfg, const PairSpec &spec,
 {
     return shrinkPlanWith(
         spec, original, firstSeen, [&](const FaultPlan &p) {
-            const PairRunOutcome sub = runPairWithPlan(cfg, spec, p, false);
+            const PairRunOutcome sub = runPairWithPlan(cfg, spec, p);
             PlanProbe probe;
             probe.cls = classifyOutcome(ref, sub);
             probe.firedCuts = sub.firedCuts;
@@ -428,6 +437,32 @@ campaignPairs(const PairConfig &cfg)
             out.push_back({s.app, s.runtime, &s, params});
     }
     return out;
+}
+
+std::vector<PairSpec>
+selectPairs(const PairConfig &cfg, const std::vector<std::string> &apps,
+            const std::vector<std::string> &runtimes)
+{
+    std::vector<PairSpec> out = campaignPairs(cfg);
+    std::erase_if(out, [&](const PairSpec &s) {
+        return !nameMatches(apps, s.app, harness::sameApp) ||
+               !nameMatches(runtimes, s.runtime, harness::sameRuntime);
+    });
+    return out;
+}
+
+std::optional<PairSpec>
+pairNamed(const PairConfig &cfg, std::string_view name)
+{
+    const auto slash = name.find('/');
+    if (slash == std::string_view::npos)
+        return std::nullopt;
+    std::vector<PairSpec> found =
+        selectPairs(cfg, {std::string(name.substr(0, slash))},
+                    {std::string(name.substr(slash + 1))});
+    if (found.empty())
+        return std::nullopt;
+    return std::move(found.front());
 }
 
 bool
@@ -473,11 +508,10 @@ runCampaign(const CampaignConfig &cfg)
     const sweep::JobPool pool(cfg.jobs);
     const auto pairs = campaignPairs(cfg);
 
-    // Phase 1: all failure-free reference runs (observe mode).
+    // Phase 1: all failure-free reference runs (the empty plan).
     std::vector<PairRunOutcome> refs(pairs.size());
     pool.run(pairs.size(), [&](std::size_t pi) {
-        refs[pi] = runPairWithPlan(cfg, pairs[pi], FaultPlan{},
-                                   /*observe=*/true);
+        refs[pi] = runPairWithPlan(cfg, pairs[pi], FaultPlan{});
     });
 
     // Phase 2 (serial, cheap): schedule generation from each census.
@@ -519,8 +553,8 @@ runCampaign(const CampaignConfig &cfg)
             truncated.store(true, std::memory_order_relaxed);
             return;
         }
-        const PairRunOutcome sub = runPairWithPlan(
-            cfg, pairs[t.pi], schedules[t.pi][t.si], false);
+        const PairRunOutcome sub =
+            runPairWithPlan(cfg, pairs[t.pi], schedules[t.pi][t.si]);
         t.ran = true;
         t.injectedDeaths = sub.injectedDeaths;
         t.tearsApplied = sub.tearsApplied;
@@ -612,40 +646,28 @@ formatAtom(const FaultPlan &plan, std::size_t idx)
 
 } // namespace
 
-bool
-replayPlanDetailed(const PairConfig &cfg, const std::string &pairName,
-                   const FaultPlan &plan, ReplayDetail &out)
+ReplayDetail
+replayPlanDetailed(const PairConfig &cfg, const PairSpec &spec,
+                   const FaultPlan &plan)
 {
-    const auto slash = pairName.find('/');
-    if (slash == std::string::npos)
-        return false;
-    const std::string_view app(pairName.data(), slash);
-    const std::string_view runtime =
-        std::string_view(pairName).substr(slash + 1);
-    for (const auto &spec : campaignPairs(cfg)) {
-        if (!harness::sameApp(spec.app, app) ||
-            !harness::sameRuntime(spec.runtime, runtime))
-            continue;
-        const PairRunOutcome ref =
-            runPairWithPlan(cfg, spec, FaultPlan{}, /*observe=*/true);
-        if (!ref.res.completed) {
-            out.verdict = "reference-incomplete";
-            return true;
-        }
-        const PairRunOutcome sub = runPairWithPlan(cfg, spec, plan, false);
-        const Classification c = classifyOutcome(ref, sub);
-        out.verdict = c.kind.empty() ? "consistent" : c.kind;
-        for (std::size_t i = 0; i < sub.atomFirings.size(); ++i) {
-            ReplayAtomStatus st;
-            st.atom = formatAtom(plan, i);
-            st.fired = sub.atomFirings[i].fired;
-            st.occurrence = sub.atomFirings[i].occurrence;
-            st.at = sub.atomFirings[i].at;
-            out.atoms.push_back(std::move(st));
-        }
-        return true;
+    ReplayDetail out;
+    const PairRunOutcome ref = runPairWithPlan(cfg, spec, FaultPlan{});
+    if (!ref.res.completed) {
+        out.verdict = "reference-incomplete";
+        return out;
     }
-    return false;
+    const PairRunOutcome sub = runPairWithPlan(cfg, spec, plan);
+    const Classification c = classifyOutcome(ref, sub);
+    out.verdict = c.kind.empty() ? "consistent" : c.kind;
+    for (std::size_t i = 0; i < sub.atomFirings.size(); ++i) {
+        ReplayAtomStatus st;
+        st.atom = formatAtom(plan, i);
+        st.fired = sub.atomFirings[i].fired;
+        st.occurrence = sub.atomFirings[i].occurrence;
+        st.at = sub.atomFirings[i].at;
+        out.atoms.push_back(std::move(st));
+    }
+    return out;
 }
 
 Table

@@ -4,9 +4,9 @@
  * (DESIGN.md Section 8).
  *
  * For every pair the driver first performs a failure-free reference
- * run with the injector in observe mode, which yields both the golden
- * final state (via the replay oracle) and a census of boundary events
- * and gated stores. From the census it enumerates systematic schedules
+ * run under the empty plan, which yields both the golden final state
+ * (via the replay oracle) and a census of boundary events and gated
+ * stores. From the census it enumerates systematic schedules
  * — cuts at and just after every commit/restore/send/boot boundary,
  * torn writes at first/middle/last store of each site, stale-slot
  * retention flips — plus a band of seeded-random schedules, and runs
@@ -25,7 +25,9 @@
 #define TICSIM_FAULT_CAMPAIGN_HPP
 
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/replay_oracle.hpp"
@@ -159,7 +161,7 @@ struct FaultedBoard {
  * byte-meaningful.
  */
 PairRunOutcome runPairWithPlan(const PairConfig &cfg, const PairSpec &spec,
-                               const FaultPlan &plan, bool observe);
+                               const FaultPlan &plan);
 
 /** Rebuild a plan from a subset of its atom indices (ddmin
  *  granularity: one cut, tear, or flip per atom, in that order;
@@ -171,6 +173,22 @@ FaultPlan planFromAtoms(const FaultPlan &full,
  *  Cuckoo under TICS, MementOS-like, Chinchilla-like, Alpaca-like
  *  tasks, and plain C; 10 pairs, mirroring ticscheck). */
 std::vector<PairSpec> campaignPairs(const PairConfig &cfg);
+
+/**
+ * The pair lookup of every fault tool: the campaignPairs() rows, in
+ * order, whose app matches one of @p apps and whose runtime matches one
+ * of @p runtimes. Names compare through the catalog's aliases
+ * (harness::sameApp/sameRuntime: "CF", "cuckoo", "tics", "plain", ...);
+ * an empty list matches every name.
+ */
+std::vector<PairSpec> selectPairs(const PairConfig &cfg,
+                                  const std::vector<std::string> &apps,
+                                  const std::vector<std::string> &runtimes);
+
+/** The one pair selectPairs() finds for @p name "App/Runtime", or
+ *  nullopt when the name has no '/' or names no campaign pair. */
+std::optional<PairSpec> pairNamed(const PairConfig &cfg,
+                                  std::string_view name);
 
 /** What one evaluation of a candidate plan observed. */
 struct PlanProbe {
@@ -272,13 +290,10 @@ struct ReplayDetail {
     }
 };
 
-/**
- * Re-execute one plan against one pair ("App/Runtime", either name
- * exact or a catalog alias such as "CF/tics"). Returns false when the
- * pair name matches no campaign pair.
- */
-bool replayPlanDetailed(const PairConfig &cfg, const std::string &pairName,
-                        const FaultPlan &plan, ReplayDetail &out);
+/** Re-execute @p plan on @p spec against its failure-free reference,
+ *  both run with @p cfg's seed and budget. */
+ReplayDetail replayPlanDetailed(const PairConfig &cfg, const PairSpec &spec,
+                                const FaultPlan &plan);
 
 /** Per-pair summary in the repo's standard table format. */
 Table campaignTable(const CampaignReport &report);

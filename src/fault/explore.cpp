@@ -132,8 +132,7 @@ class ShardWalker
         FaultedBoard fb(cfg_.base, path_);
         board_ = &fb;
         const FaultPlan noFaults;
-        FaultInjector inj(fb.board, fb.supply, noFaults,
-                          /*observeOnly=*/true);
+        FaultInjector inj(fb.board, fb.supply, noFaults);
         inj_ = &inj;
         mem::ScopedSink as(&inj);
         harness::ScenarioInstance env = spec_.make(fb.board);
@@ -296,8 +295,7 @@ explorePair(const ExploreConfig &cfg, const PairSpec &spec)
     if (cfg.maxFaults == 0)
         fatal("explore: maxFaults must be at least 1");
 
-    const PairRunOutcome ref =
-        runPairWithPlan(cfg.base, spec, FaultPlan{}, /*observe=*/true);
+    const PairRunOutcome ref = runPairWithPlan(cfg.base, spec, FaultPlan{});
     out.refCompleted = ref.res.completed;
     if (!out.refCompleted)
         return out;
@@ -341,8 +339,7 @@ explorePair(const ExploreConfig &cfg, const PairSpec &spec)
     // ddmin multi-fault schedules down to minimal form (via fork).
     std::set<std::string> reported;
     for (const PendingViolation &pv : all) {
-        const PairRunOutcome sub =
-            runPairWithPlan(cfg.base, spec, pv.plan, /*observe=*/false);
+        const PairRunOutcome sub = runPairWithPlan(cfg.base, spec, pv.plan);
         const Classification c = classifyOutcome(ref, sub);
         ExploredViolation ev;
         ev.foundAs = pv.planStr;
@@ -408,12 +405,22 @@ forkShrinkViolation(const PairConfig &cfg, const PairSpec &spec,
         fatal("explore: pair '%s/%s' has no scenario", spec.app.c_str(),
               spec.runtime.c_str());
 
+    // The recording below captures nothing earlier than the first
+    // power-on, at virtual time 0. A plan with an atom at or before
+    // that event (e.g. `cut@boot:1`) would record a whole run, capture
+    // nothing and evaluate every candidate from boot anyway.
+    InjectorState firstPowerOn{.started = true, .boots = 1};
+    firstPowerOn.census.boundary[static_cast<int>(Boundary::Boot)] = 1;
+    if (!atomsAhead(original, firstPowerOn, 0))
+        return shrinkViolationFromBoot(cfg, spec, ref, original, firstSeen);
+
     // Recording pass: one fault-free run — the common prefix of every
     // ddmin candidate — capturing the latest snapshot from which every
     // atom of the original plan still lies ahead. The *last* capture
     // wins, so forked evaluations execute the shortest possible suffix.
-    FaultedBoard fb(cfg, planFromAtoms(original, {}));
-    FaultInjector inj(fb.board, fb.supply, original, /*observeOnly=*/true);
+    const FaultPlan noFaults = planFromAtoms(original, {});
+    FaultedBoard fb(cfg, noFaults);
+    FaultInjector inj(fb.board, fb.supply, noFaults);
     board::Snapshot snap;
     InjectorState snapState;
     bool captured = false;
@@ -463,15 +470,14 @@ forkShrinkViolation(const PairConfig &cfg, const PairSpec &spec,
             // happened) fall back to a full from-boot evaluation, on a
             // board of its own that this journal must not record.
             mem::ScopedWriteJournal noJournal(nullptr);
-            const PairRunOutcome sub =
-                runPairWithPlan(cfg, spec, p, /*observe=*/false);
+            const PairRunOutcome sub = runPairWithPlan(cfg, spec, p);
             probe.cls = classifyOutcome(ref, sub);
             probe.firedCuts = sub.firedCuts;
             probe.cycles = sub.res.cycles;
             return probe;
         }
         fb.board.restore(snap);
-        inj.rebind(&p, /*observeOnly=*/false);
+        inj.rebind(p);
         inj.setState(snapState);
         fb.supply.scheduleAbsolute(absoluteCuts(p));
         const Cycles before = fb.board.mcu().cycles();
@@ -482,13 +488,17 @@ forkShrinkViolation(const PairConfig &cfg, const PairSpec &spec,
         return probe;
     };
 
-    return shrinkPlanWith(spec, original, firstSeen, eval);
+    Violation v = shrinkPlanWith(spec, original, firstSeen, eval);
+    // The last candidate plan is gone; the pair's teardown below still
+    // runs with this injector installed.
+    inj.rebind(noFaults);
+    return v;
 }
 
 Table
 exploreTable(const ExploreReport &report)
 {
-    Table t("ticsmc: exhaustive failure-space census (maxFaults=" +
+    Table t("ticsfault: exhaustive failure-space census (maxFaults=" +
             std::to_string(report.maxFaults) + ")");
     t.header({"app", "runtime", "prot", "decisions", "branches", "leaves",
               "cutoffs", "exhausted", "violations"});
@@ -513,7 +523,7 @@ exploreTable(const ExploreReport &report)
 Table
 exploreViolationTable(const ExploreReport &report)
 {
-    Table t("ticsmc: violations (minimal confirmed schedules)");
+    Table t("ticsfault: violations (minimal confirmed schedules)");
     t.header({"app", "runtime", "kind", "confirmed", "divergent",
               "schedule"});
     for (const auto &p : report.pairs) {

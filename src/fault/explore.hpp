@@ -5,10 +5,10 @@
  *
  * The random/systematic campaign (fault/campaign.*) samples the
  * failure space; the explorer *enumerates* it. One recording pass per
- * pair runs the application failure-free under an observe-mode
- * FaultInjector whose recording hook takes a light board::Snapshot at
- * every decision point — each boundary event and each gated NV store —
- * together with the injector's state. The explorer then walks the
+ * pair runs the application failure-free under a FaultInjector bound
+ * to the empty plan, whose recording hook takes a light board::Snapshot
+ * at every decision point — each boundary event and each gated NV store
+ * — together with the injector's state. The explorer then walks the
  * decision list newest-first (write-journal marks only roll backward),
  * restores each snapshot in place, reseeds the injector with setState(),
  * and branches over the local fault alphabet: die here, or — at a store
@@ -134,7 +134,9 @@ ExploreReport exploreMatrix(const ExploreConfig &cfg,
  * that restores the latest safe snapshot and executes only the suffix.
  * Falls back to a from-boot evaluation for candidates whose first atom
  * lands before the snapshot (cannot happen for subsets of @p original,
- * but absolutized confirmation plans are also routed through it).
+ * but absolutized confirmation plans are also routed through it), and
+ * is shrinkViolationFromBoot() outright — no recording pass — when an
+ * atom of @p original lies at or before the first power-on.
  * Drop-in replacement for shrinkViolationFromBoot().
  */
 Violation forkShrinkViolation(const PairConfig &cfg,

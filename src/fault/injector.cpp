@@ -189,8 +189,8 @@ atomsAhead(const FaultPlan &plan, const InjectorState &s, TimeNs now)
 }
 
 FaultInjector::FaultInjector(board::Board &board, FaultedSupply &supply,
-                             const FaultPlan &plan, bool observeOnly)
-    : board_(board), supply_(supply), plan_(&plan), observe_(observeOnly)
+                             const FaultPlan &plan)
+    : board_(board), supply_(supply), plan_(&plan)
 {
     resizeFirings();
 }
@@ -204,11 +204,9 @@ FaultInjector::resizeFirings()
 }
 
 void
-FaultInjector::rebind(const FaultPlan *plan, bool observeOnly)
+FaultInjector::rebind(const FaultPlan &plan)
 {
-    TICSIM_ASSERT(plan != nullptr, "fault: rebind to null plan");
-    plan_ = plan;
-    observe_ = observeOnly;
+    plan_ = &plan;
     tears_ = 0;
     flips_ = 0;
     flipsUnmatched_ = 0;
@@ -221,8 +219,6 @@ FaultInjector::note(Boundary b)
     const std::uint64_t occ = ++st_.census.boundary[static_cast<int>(b)];
     if (hook_)
         hook_(CountedEvent{.boundary = b});
-    if (observe_)
-        return;
     for (std::size_t i = 0; i < plan_->cuts.size(); ++i) {
         const auto &c = plan_->cuts[i];
         if (!c.absolute && c.boundary == b && c.occurrence == occ &&
@@ -239,7 +235,7 @@ FaultInjector::powerOn()
 {
     st_.started = true;
     ++st_.boots;
-    if (!observe_ && st_.boots >= 2) {
+    if (st_.boots >= 2) {
         // Off window N separates powerOn N from powerOn N+1.
         for (std::size_t i = 0; i < plan_->flips.size(); ++i) {
             if (plan_->flips[i].outageIndex + 1 == st_.boots)
@@ -279,23 +275,21 @@ FaultInjector::store(mem::StoreSite site, void *dst, const void *src,
     if (hook_)
         hook_(CountedEvent{.isStore = true, .site = site, .dst = dst,
                            .src = src, .bytes = bytes});
-    if (!observe_) {
-        for (std::size_t i = 0; i < plan_->tears.size(); ++i) {
-            const auto &t = plan_->tears[i];
-            if (t.site == site && t.occurrence == occ) {
-                tearFired_[i].fired = true;
-                tearFired_[i].occurrence = occ;
-                tearFired_[i].at = board_.now();
-                mem::journalNote(dst, bytes);
-                applyTornStore(t, dst, src, bytes);
-                ++tears_;
-                supply_.noteForcedDeath();
-                // In-context this abandons execution and never returns
-                // — the torn bytes are the last thing before lights
-                // out. Outside a context it marks the boot dead.
-                board_.forcePowerFail();
-                return;
-            }
+    for (std::size_t i = 0; i < plan_->tears.size(); ++i) {
+        const auto &t = plan_->tears[i];
+        if (t.site == site && t.occurrence == occ) {
+            tearFired_[i].fired = true;
+            tearFired_[i].occurrence = occ;
+            tearFired_[i].at = board_.now();
+            mem::journalNote(dst, bytes);
+            applyTornStore(t, dst, src, bytes);
+            ++tears_;
+            supply_.noteForcedDeath();
+            // In-context this abandons execution and never returns —
+            // the torn bytes are the last thing before lights out.
+            // Outside a context it marks the boot dead.
+            board_.forcePowerFail();
+            return;
         }
     }
     mem::journalNote(dst, bytes);

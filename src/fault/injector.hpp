@@ -5,20 +5,20 @@
  * boundary events and gated stores, arms boundary-anchored cuts, tears
  * gated NV stores, and flips retention bits between charge windows.
  *
- * The same FaultInjector runs in two modes. In observe mode it only
- * counts — the campaign's reference run uses this to learn how many
- * commits, sends, stores, ... a failure-free execution performs, which
- * is the universe the systematic schedules are drawn from. In inject
- * mode it additionally executes a FaultPlan. Occurrence counting is
- * identical in both modes (and excludes pre-run construction stores),
- * so "the 3rd commit" means the same instant in both.
+ * A FaultInjector counts events and executes the FaultPlan it is bound
+ * to. Bound to the empty plan it only counts — the campaign's reference
+ * run uses this to learn how many commits, sends, stores, ... a
+ * failure-free execution performs, which is the universe the systematic
+ * schedules are drawn from. Occurrence counting does not depend on the
+ * plan (and excludes pre-run construction stores), so "the 3rd commit"
+ * means the same instant in every run.
  *
  * An optional recording hook sees every event the census counts, right
  * after it is counted and before a store lands. The exhaustive
  * explorer's recording pass and the fork shrinker's snapshot capture
- * are two such hooks on an observe-mode injector (explore.cpp); the
- * same injector then replays their branches and candidate plans with
- * setState() and rebind().
+ * are two such hooks on an injector bound to the empty plan
+ * (explore.cpp); the same injector then replays their branches and
+ * candidate plans with setState() and rebind().
  */
 
 #ifndef TICSIM_FAULT_INJECTOR_HPP
@@ -176,13 +176,11 @@ class FaultInjector : public mem::AccessSink
     /** Called at every counted event; see setHook(). */
     using Hook = std::function<void(const CountedEvent &)>;
 
-    /**
-     * @param observeOnly Count events but inject nothing (the plan's
-     *        cuts/tears/flips are ignored; its offNs still applies to
-     *        deaths injected by other means — i.e. none).
-     */
+    /** Count events on @p board and execute @p plan's cuts, tears and
+     *  flips (none for the empty plan). @p plan must outlive every
+     *  event the injector counts while bound to it. */
     FaultInjector(board::Board &board, FaultedSupply &supply,
-                  const FaultPlan &plan, bool observeOnly);
+                  const FaultPlan &plan);
 
     // AccessSink
     void powerOn() override;
@@ -198,12 +196,13 @@ class FaultInjector : public mem::AccessSink
     std::uint64_t flipsUnmatched() const { return flipsUnmatched_; }
 
     /**
-     * Point the injector at a different plan (and mode) mid-stream
-     * without resetting occurrence counts. The fork shrinker restores
-     * a snapshot, rebinds to the candidate subset plan, and resumes —
+     * Point the injector at a different plan mid-stream without
+     * resetting occurrence counts. The fork shrinker restores a
+     * snapshot, rebinds to the candidate subset plan, and resumes —
      * the census keeps counting from where the recording left off.
+     * @p plan must outlive every event counted until the next rebind.
      */
-    void rebind(const FaultPlan *plan, bool observeOnly);
+    void rebind(const FaultPlan &plan);
 
     const InjectorState &state() const { return st_; }
     void setState(const InjectorState &s) { st_ = s; }
@@ -234,7 +233,6 @@ class FaultInjector : public mem::AccessSink
     board::Board &board_;
     FaultedSupply &supply_;
     const FaultPlan *plan_;
-    bool observe_;
     InjectorState st_;
     std::uint64_t tears_ = 0;
     std::uint64_t flips_ = 0;

@@ -98,7 +98,7 @@ struct BitFlip {
 
 /**
  * A complete fault schedule. Empty plans inject nothing (the campaign
- * reference runs use one in observe mode to count boundary events).
+ * reference runs bind one to count boundary events).
  */
 struct FaultPlan {
     std::vector<PowerCut> cuts;

@@ -319,11 +319,12 @@ struct McViolationEntry {
 };
 
 /**
- * The `mc` section (written by ticsmc; bumps the report to version 7):
- * the exhaustive failure-space census — per-pair decision/branch/leaf
- * counts, frontier cut-offs, the proof-of-exhaustion flags, and every
- * violation with its minimal schedule. Only ticsmc calls setMc(), so
- * every other bench's document stays at version <= 6 byte-for-byte.
+ * The `mc` section (written by ticsfault --explore; bumps the report to
+ * version 7): the exhaustive failure-space census — per-pair
+ * decision/branch/leaf counts, frontier cut-offs, the
+ * proof-of-exhaustion flags, and every violation with its minimal
+ * schedule. Only `ticsfault --explore` calls setMc(), so every other
+ * document stays at version <= 6 byte-for-byte.
  */
 struct McSection {
     std::uint64_t maxFaults = 1;

@@ -62,10 +62,11 @@ struct Scenario {
 std::span<const Scenario> scenarios();
 
 /**
- * The consistency matrix ticscheck, ticsfault and ticsmc run: BC and
- * Cuckoo under every runtime. AR is left out because its sensor
- * samples follow virtual time, so a failure-free and an intermittent
- * run diverge for reasons unrelated to memory consistency.
+ * The consistency matrix ticscheck and ticsfault's campaign and
+ * explorer run: BC and Cuckoo under every runtime. AR is left out
+ * because its sensor samples follow virtual time, so a failure-free
+ * and an intermittent run diverge for reasons unrelated to memory
+ * consistency.
  */
 bool inConsistencyMatrix(const Scenario &s);
 

@@ -62,7 +62,6 @@ class WriteJournal
     void reset();
 
     std::size_t records() const { return recs_.size(); }
-    std::size_t bytesHeld() const { return pool_.size(); }
 
   private:
     struct Rec {

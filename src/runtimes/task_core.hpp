@@ -190,7 +190,6 @@ class TaskRuntime : public board::Runtime
     const TaskDesc &task(TaskId t) const { return tasks_[t]; }
     std::size_t taskCount() const { return tasks_.size(); }
     std::size_t channelCount() const { return channels_.size(); }
-    TaskId currentTask() const { return current_; }
 
     void
     saveState(StateWriter &w) const override

@@ -126,7 +126,6 @@ class Pmf
     double minValue() const { return any_ ? min_ : 0.0; }
     double maxValue() const { return any_ ? max_ : 0.0; }
     bool empty() const { return b_.empty(); }
-    std::size_t bucketCount() const { return b_.size(); }
     const std::map<int, Bucket> &buckets() const { return b_; }
 
   private:

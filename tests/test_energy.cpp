@@ -107,17 +107,6 @@ TEST(Harvester, RfFadingVariesPerBlockDeterministically)
     EXPECT_NE(rf.power(4 * kNsPerMs), moved.power(4 * kNsPerMs));
 }
 
-TEST(Harvester, TraceHoldsAndRepeats)
-{
-    TraceHarvester tr({{0, 1e-3}, {10 * kNsPerMs, 2e-3}},
-                      20 * kNsPerMs);
-    EXPECT_DOUBLE_EQ(tr.power(0), 1e-3);
-    EXPECT_DOUBLE_EQ(tr.power(9 * kNsPerMs), 1e-3);
-    EXPECT_DOUBLE_EQ(tr.power(10 * kNsPerMs), 2e-3);
-    EXPECT_DOUBLE_EQ(tr.power(19 * kNsPerMs), 2e-3);
-    EXPECT_DOUBLE_EQ(tr.power(20 * kNsPerMs), 1e-3); // wrapped
-}
-
 TEST(Harvester, StochasticAlternates)
 {
     StochasticHarvester st(1e-3, 50 * kNsPerMs, 50 * kNsPerMs, Rng(4));

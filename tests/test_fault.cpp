@@ -3,12 +3,16 @@
  * Fault-model and crash-consistency hardening tests: CRC-32 vectors,
  * reset-pattern supply edge cases, checkpoint-area negative paths
  * (torn and corrupted commit records), undo-log record validation,
- * fault-plan round-trips, and end-to-end campaign/replay checks.
+ * fault-plan round-trips, end-to-end campaign/replay checks, and the
+ * ticsfault CLI's modes.
  */
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <string>
+#include <sys/wait.h>
 #include <vector>
 
 #include "energy/supply.hpp"
@@ -460,10 +464,12 @@ replayVerdict(const std::string &pair, const std::string &planText)
     fault::FaultPlan plan;
     std::string err;
     EXPECT_TRUE(fault::FaultPlan::parse(planText, plan, &err)) << err;
-    fault::ReplayDetail detail;
-    EXPECT_TRUE(
-        fault::replayPlanDetailed(smallCampaign(), pair, plan, detail));
-    return detail.verdict;
+    const fault::CampaignConfig cfg = smallCampaign();
+    const auto spec = fault::pairNamed(cfg, pair);
+    EXPECT_TRUE(spec.has_value()) << pair;
+    if (!spec)
+        return "";
+    return fault::replayPlanDetailed(cfg, *spec, plan).verdict;
 }
 
 } // namespace
@@ -519,10 +525,7 @@ TEST(FaultReplay, PlainCTornStoreViolates)
 
 TEST(FaultReplay, UnknownPairIsReported)
 {
-    fault::FaultPlan plan;
-    fault::ReplayDetail detail;
-    EXPECT_FALSE(fault::replayPlanDetailed(smallCampaign(), "Nope/Nada",
-                                           plan, detail));
+    EXPECT_FALSE(fault::pairNamed(smallCampaign(), "Nope/Nada"));
 }
 
 // ---- Campaign --------------------------------------------------------------
@@ -560,3 +563,64 @@ TEST(FaultCampaign, ProtectionSplitHoldsAndIsSeedDeterministic)
                       r1.pairs[i].found[j].plan);
     }
 }
+
+// ---- the ticsfault CLI ------------------------------------------------------
+
+#ifdef TICSIM_TICSFAULT_BIN
+
+namespace {
+
+/** Run ticsfault with @p args, output discarded; @return its exit
+ *  status (-1 if it did not exit normally). */
+int
+runTicsfault(const std::string &args)
+{
+    const std::string cmd = std::string("'") + TICSIM_TICSFAULT_BIN +
+                            "' " + args + " > /dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+} // namespace
+
+TEST(FaultCli, RejectsFlagsOfAnotherMode)
+{
+    // Each refusal happens while parsing, before any run starts.
+    EXPECT_EQ(runTicsfault("--campaign --max-faults 2"), 2);
+    EXPECT_EQ(runTicsfault("--explore --random 3"), 2);
+    EXPECT_EQ(runTicsfault("--explore --patterns x"), 2);
+    EXPECT_EQ(runTicsfault("--replay 'BC/plain-C:cut@commit:1;"
+                           "off:12000000' --app BC"),
+              2);
+    EXPECT_EQ(runTicsfault("--explore --replay 'BC/plain-C:cut@commit:1;"
+                           "off:12000000' --max-faults 2"),
+              2);
+    EXPECT_EQ(runTicsfault("--campaign --explore"), 2);
+    EXPECT_EQ(runTicsfault("--explore --max-faults 0"), 2);
+}
+
+TEST(FaultCli, UnknownReplayPairExitsTwo)
+{
+    EXPECT_EQ(runTicsfault("--replay 'Nope/Nada:cut@commit:1;off:12000000'"),
+              2);
+    EXPECT_EQ(runTicsfault("--replay 'AR/TICS:cut@commit:1;off:12000000'"),
+              2);
+    EXPECT_EQ(runTicsfault("--replay 'CF:cut@commit:1;off:12000000'"), 2);
+    // An empty --replay is a malformed replay, not a campaign.
+    EXPECT_EQ(runTicsfault("--replay ''"), 2);
+}
+
+TEST(FaultCli, ReplayRunsTheProgramOfTheSelectedMode)
+{
+    // The campaign's BC (64 iterations) reaches a 33rd app store, and
+    // plain C does not survive tearing it.
+    const std::string plan =
+        "'BC/plain-C:tear@store:33/prefix:4;off:12000000'";
+    EXPECT_EQ(runTicsfault("--replay " + plan), 1);
+    EXPECT_EQ(runTicsfault("--campaign --replay " + plan), 1);
+    // The explorer's BC (2 iterations) has 5 decision points in all, so
+    // the tear never fires: consistent, but unreliable.
+    EXPECT_EQ(runTicsfault("--explore --replay " + plan), 3);
+}
+
+#endif // TICSIM_TICSFAULT_BIN

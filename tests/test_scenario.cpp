@@ -242,15 +242,28 @@ TEST(NameAliases, ReplayResolvesCampaignPairsThroughAliases)
                                         plan, &err))
         << err;
     for (const char *pair : {"CF/TICS", "cuckoo/tics", "bc/Plain"}) {
-        fault::ReplayDetail detail;
-        EXPECT_TRUE(fault::replayPlanDetailed(cfg, pair, plan, detail))
+        const auto spec = fault::pairNamed(cfg, pair);
+        ASSERT_TRUE(spec.has_value()) << pair;
+        EXPECT_FALSE(
+            fault::replayPlanDetailed(cfg, *spec, plan).verdict.empty())
             << pair;
-        EXPECT_FALSE(detail.verdict.empty()) << pair;
     }
+    EXPECT_EQ(fault::pairNamed(cfg, "CF/TICS")->app, "Cuckoo");
+    EXPECT_EQ(fault::pairNamed(cfg, "bc/Plain")->runtime, "plain-C");
+    // The --app/--runtime filter resolves the same aliases.
+    const std::vector<fault::PairSpec> cuckoo =
+        fault::selectPairs(cfg, {"cf"}, {});
+    ASSERT_EQ(cuckoo.size(), 5u);
+    for (const fault::PairSpec &s : cuckoo)
+        EXPECT_EQ(s.app, "Cuckoo");
+    EXPECT_EQ(fault::selectPairs(cfg, {}, {}).size(), 10u);
+    EXPECT_EQ(fault::selectPairs(cfg, {"BC", "CF"}, {"tics", "plain"})
+                  .size(),
+              4u);
     // Aliases do not widen the campaign: AR is not one of its pairs.
-    fault::ReplayDetail detail;
-    EXPECT_FALSE(fault::replayPlanDetailed(cfg, "AR/TICS", plan, detail));
-    EXPECT_FALSE(fault::replayPlanDetailed(cfg, "CF", plan, detail));
+    EXPECT_FALSE(fault::pairNamed(cfg, "AR/TICS"));
+    EXPECT_FALSE(fault::pairNamed(cfg, "CF"));
+    EXPECT_TRUE(fault::selectPairs(cfg, {"AR"}, {}).empty());
 }
 
 // ---- unknown pairs fail loudly ---------------------------------------------

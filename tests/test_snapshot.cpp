@@ -482,8 +482,8 @@ TEST(ExploreSplit, DecisionPointsAreTheReferenceCensusOnEveryPair)
     cfg.base = smallConfig();
     for (const fault::PairSpec &spec : fault::campaignPairs(cfg.base)) {
         SCOPED_TRACE(spec.app + "/" + spec.runtime);
-        const fault::PairRunOutcome ref = fault::runPairWithPlan(
-            cfg.base, spec, fault::FaultPlan{}, /*observe=*/true);
+        const fault::PairRunOutcome ref =
+            fault::runPairWithPlan(cfg.base, spec, fault::FaultPlan{});
         ASSERT_TRUE(ref.res.completed);
         std::uint64_t counted = 0;
         for (const std::uint64_t n : ref.census.boundary)
@@ -517,7 +517,7 @@ TEST(ForkShrink, SameMinimalPlanAsFromBootButCheaper)
     const fault::PairSpec spec = findPair(cfg, "BC", "plain-C");
 
     const fault::PairRunOutcome ref =
-        fault::runPairWithPlan(cfg, spec, fault::FaultPlan{}, true);
+        fault::runPairWithPlan(cfg, spec, fault::FaultPlan{});
     ASSERT_TRUE(ref.res.completed);
 
     // A known violating tear padded with a harmless absolute cut far
@@ -533,7 +533,7 @@ TEST(ForkShrink, SameMinimalPlanAsFromBootButCheaper)
         &err))
         << err;
     const fault::PairRunOutcome sub =
-        fault::runPairWithPlan(cfg, spec, plan, false);
+        fault::runPairWithPlan(cfg, spec, plan);
     const fault::Classification cls = fault::classifyOutcome(ref, sub);
     ASSERT_FALSE(cls.kind.empty());
 
@@ -552,6 +552,43 @@ TEST(ForkShrink, SameMinimalPlanAsFromBootButCheaper)
     EXPECT_LT(forked.shrinkCycles, fromBoot.shrinkCycles);
 }
 
+TEST(ForkShrink, PlanAtTheFirstPowerOnShrinksExactlyAsFromBoot)
+{
+    // An atom at the first power-on lies behind every snapshot the fork
+    // recorder could take, so every candidate runs from boot: the fork
+    // shrinker skips its recording pass and must report exactly what
+    // the from-boot shrinker reports, down to the runs and cycles.
+    const fault::CampaignConfig cfg = smallConfig();
+    const fault::PairSpec spec = findPair(cfg, "BC", "plain-C");
+    const fault::PairRunOutcome ref =
+        fault::runPairWithPlan(cfg, spec, fault::FaultPlan{});
+    ASSERT_TRUE(ref.res.completed);
+
+    fault::FaultPlan plan;
+    std::string err;
+    ASSERT_TRUE(fault::FaultPlan::parse(
+        "cut@boot:1+200000;tear@store:3/prefix:0;off:12000000", plan,
+        &err))
+        << err;
+    const fault::PairRunOutcome sub =
+        fault::runPairWithPlan(cfg, spec, plan);
+    const fault::Classification cls = fault::classifyOutcome(ref, sub);
+    ASSERT_FALSE(cls.kind.empty());
+
+    const fault::Violation fromBoot =
+        fault::shrinkViolationFromBoot(cfg, spec, ref, plan, cls);
+    const fault::Violation forked =
+        fault::forkShrinkViolation(cfg, spec, ref, plan, cls);
+
+    EXPECT_TRUE(forked.replayVerified);
+    EXPECT_EQ(forked.plan, fromBoot.plan);
+    EXPECT_EQ(forked.kind, fromBoot.kind);
+    EXPECT_EQ(forked.divergentBytes, fromBoot.divergentBytes);
+    EXPECT_EQ(forked.shrinkRuns, fromBoot.shrinkRuns);
+    EXPECT_EQ(forked.shrinkCycles, fromBoot.shrinkCycles);
+    EXPECT_EQ(forked.replayVerified, fromBoot.replayVerified);
+}
+
 TEST(ForkShrink, CampaignForkShrinkMatchesFromBootCampaign)
 {
     // End to end: every minimized schedule the campaign (which shrinks
@@ -568,7 +605,7 @@ TEST(ForkShrink, CampaignForkShrinkMatchesFromBootCampaign)
             continue;
         const fault::PairSpec spec = findPair(cfg, pr.app, pr.runtime);
         const fault::PairRunOutcome ref =
-            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{}, true);
+            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{});
         for (const fault::Violation &v : pr.found) {
             fault::FaultPlan original;
             std::string err;
@@ -576,7 +613,7 @@ TEST(ForkShrink, CampaignForkShrinkMatchesFromBootCampaign)
                 fault::FaultPlan::parse(v.originalPlan, original, &err))
                 << v.originalPlan << ": " << err;
             const fault::PairRunOutcome sub =
-                fault::runPairWithPlan(cfg, spec, original, false);
+                fault::runPairWithPlan(cfg, spec, original);
             const fault::Classification cls =
                 fault::classifyOutcome(ref, sub);
             ASSERT_FALSE(cls.kind.empty()) << v.originalPlan;
@@ -595,10 +632,10 @@ TEST(ForkShrink, CampaignForkShrinkMatchesFromBootCampaign)
 
 TEST(BoundReference, MatchesCaptureAfterFaultPlansOnEveryPair)
 {
-    // Every pair at the sizes ticsmc and hostbench explore, run from
-    // boot under seeded plans: a cut at the first, two random and the
-    // last occurrence of every boundary kind, and every tear mode at
-    // three random occurrences of every store site.
+    // Every pair at the sizes `ticsfault --explore` and hostbench
+    // explore, run from boot under seeded plans: a cut at the first,
+    // two random and the last occurrence of every boundary kind, and
+    // every tear mode at three random occurrences of every store site.
     const fault::CampaignConfig cfg = smallConfig();
     const auto filter = analysis::ReplayOracle::appStateFilter();
     Rng rng(cfg.seed);
@@ -606,7 +643,7 @@ TEST(BoundReference, MatchesCaptureAfterFaultPlansOnEveryPair)
     for (const fault::PairSpec &spec : fault::campaignPairs(cfg)) {
         const std::string pair = spec.app + "/" + spec.runtime;
         const fault::PairRunOutcome ref =
-            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{}, true);
+            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{});
         ASSERT_TRUE(ref.res.completed) << pair;
 
         std::vector<fault::FaultPlan> plans;
@@ -655,7 +692,7 @@ TEST(BoundReference, MatchesCaptureAfterFaultPlansOnEveryPair)
             board::Board board(
                 bcfg, std::move(supply),
                 std::make_unique<timekeeper::PerfectTimekeeper>());
-            fault::FaultInjector inj(board, *sup, plan, false);
+            fault::FaultInjector inj(board, *sup, plan);
             mem::ScopedSink as(&inj);
             harness::ScenarioInstance env = spec.make(board);
             board.beginRun(*env.runtime, env.entry, cfg.budget);
@@ -684,7 +721,7 @@ TEST(BoundReference, OneBindingSurvivesRestoresOnEveryPair)
     for (const fault::PairSpec &spec : fault::campaignPairs(cfg)) {
         const std::string pair = spec.app + "/" + spec.runtime;
         const fault::PairRunOutcome ref =
-            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{}, true);
+            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{});
         ASSERT_TRUE(ref.res.completed) << pair;
 
         board::BoardConfig bcfg;

@@ -4,7 +4,7 @@
  * interpolation (exact at sample boundaries), wrap vs clamp semantics
  * past the end of a trace shorter than the run, dark gaps spanning
  * multiple boot attempts, byte-identical replay after snapshot/restore
- * (the ticsmc journal contract), the per-seed start offsets, and the
+ * (the explorer's journal contract), the per-seed start offsets, and the
  * segment walk and its empty-capacitor ramp memo against the per-step
  * loop they replaced.
  */
@@ -178,7 +178,7 @@ TEST(TraceSupply, GivesUpAfterMaxOffTimeInEndlessDark)
 
 TEST(TraceSupply, SnapshotRestoreReplaysByteIdentically)
 {
-    // The ticsmc journal contract: capture state mid-run, keep
+    // The explorer's journal contract: capture state mid-run, keep
     // running, restore, and the replay must reproduce the original
     // continuation exactly (power is a pure function of time; the
     // capacitor voltage is the whole mutable state).

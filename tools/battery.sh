@@ -36,7 +36,9 @@ mkdir -p "$out"
 
 "$bin/ticslint" --verbose --crossval > "$out/ticslint.crossval.txt"
 
-"$bin/ticsmc" --max-faults 2 > "$out/ticsmc.depth2.txt"
+# The file keeps the name it had while the explorer was its own tool,
+# so that batteries of older builds still line up under diff -r.
+"$bin/ticsfault" --explore --max-faults 2 > "$out/ticsmc.depth2.txt"
 
 grid=(--apps AR,BC,CF
       --runtimes TICS,MementOS-like,Chinchilla-like,Alpaca-like,plain-C

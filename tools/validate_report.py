@@ -363,7 +363,8 @@ def validate_lint(lint):
 
 
 def validate_mc(mc):
-    """The ticsmc section's exhaustion and confirmation bookkeeping."""
+    """The mc section's (ticsfault --explore) exhaustion and confirmation
+    bookkeeping."""
     pairs = {}
     for i, p in enumerate(mc["pairs"]):
         who = f"mc.pairs[{i}] ({p['app']}/{p['runtime']})"
