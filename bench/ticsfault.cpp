@@ -26,7 +26,6 @@
  * including a flag of another mode, exit 2.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +37,7 @@
 #include "fault/explore.hpp"
 #include "harness/report.hpp"
 #include "support/parse.hpp"
+#include "sweep/job_pool.hpp"
 
 using namespace ticsim;
 
@@ -207,7 +207,7 @@ mcSection(const fault::ExploreConfig &cfg,
     harness::McSection mc;
     mc.maxFaults = cfg.maxFaults;
     mc.maxDecisions = cfg.maxDecisions;
-    mc.jobs = std::max(1u, cfg.jobs);
+    mc.jobs = cfg.jobs == 0 ? sweep::JobPool::defaultJobs() : cfg.jobs;
     mc.allExhausted = report.allExhausted();
     for (const auto &p : report.pairs) {
         harness::McPairEntry e;

@@ -300,9 +300,9 @@ explorePair(const ExploreConfig &cfg, const PairSpec &spec)
     if (!out.refCompleted)
         return out;
 
-    const unsigned shards = std::max(1u, cfg.jobs);
+    const sweep::JobPool pool(cfg.jobs);
+    const unsigned shards = pool.jobs();
     std::vector<ShardStats> stats(shards);
-    sweep::JobPool pool(shards);
     pool.run(shards, [&](std::size_t s) {
         ShardWalker w(cfg, spec, ref, static_cast<unsigned>(s), shards);
         stats[s] = w.run();

@@ -60,9 +60,9 @@ struct ExploreConfig {
      * exhausted = false.
      */
     std::uint64_t maxDecisions = 0;
-    /** Worker threads; top-level decision points are dealt round-robin
-     *  across shards, each with its own Board. Any job count yields
-     *  the identical report. */
+    /** Worker threads (0 = all hardware threads); top-level decision
+     *  points are dealt round-robin across shards, each with its own
+     *  Board. Any job count yields the identical report. */
     unsigned jobs = 1;
 };
 

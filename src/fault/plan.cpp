@@ -208,7 +208,7 @@ FaultPlan::format() const
 {
     std::string out;
     char buf[192];
-    const auto add = [&out](const char *piece) {
+    const auto add = [&out](const std::string &piece) {
         if (!out.empty())
             out += ';';
         out += piece;
@@ -238,10 +238,9 @@ FaultPlan::format() const
         add(buf);
     }
     for (const auto &f : flips) {
-        std::snprintf(buf, sizeof buf, "flip@%llu:%s+%u&0x%02X",
-                      static_cast<unsigned long long>(f.outageIndex),
-                      f.region.c_str(), f.offset, f.mask);
-        add(buf);
+        // A region name has no length bound, so it stays out of buf.
+        std::snprintf(buf, sizeof buf, "+%u&0x%02X", f.offset, f.mask);
+        add("flip@" + std::to_string(f.outageIndex) + ':' + f.region + buf);
     }
     std::snprintf(buf, sizeof buf, "off:%llu",
                   static_cast<unsigned long long>(offNs));

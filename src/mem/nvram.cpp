@@ -1,10 +1,15 @@
 #include "nvram.hpp"
 
+#include <cstring>
+
 #include "support/logging.hpp"
 
 namespace ticsim::mem {
 
-NvRam::NvRam(std::uint32_t size) : size_(size), data_(size, 0) {}
+NvRam::NvRam(std::uint32_t size)
+    : size_(size), data_(std::make_unique_for_overwrite<std::uint8_t[]>(size))
+{
+}
 
 Addr
 NvRam::allocate(const std::string &name, std::uint32_t size,
@@ -17,6 +22,7 @@ NvRam::allocate(const std::string &name, std::uint32_t size,
         fatal("nvram: out of memory allocating '%s' (%u bytes; %u of %u "
               "used)", name.c_str(), size, next_, size_);
     }
+    std::memset(data_.get() + next_, 0, base + size - next_);
     next_ = base + size;
     regions_.push_back({name, base, size});
     return base;
@@ -26,14 +32,14 @@ std::uint8_t *
 NvRam::hostPtr(Addr a)
 {
     TICSIM_ASSERT(a < size_, "addr %u", a);
-    return data_.data() + a;
+    return data_.get() + a;
 }
 
 const std::uint8_t *
 NvRam::hostPtr(Addr a) const
 {
     TICSIM_ASSERT(a < size_, "addr %u", a);
-    return data_.data() + a;
+    return data_.get() + a;
 }
 
 Addr
@@ -41,14 +47,14 @@ NvRam::addrOf(const void *hostPtr) const
 {
     const auto *p = static_cast<const std::uint8_t *>(hostPtr);
     TICSIM_ASSERT(contains(hostPtr), "host pointer outside arena");
-    return static_cast<Addr>(p - data_.data());
+    return static_cast<Addr>(p - data_.get());
 }
 
 bool
 NvRam::contains(const void *hostPtr) const
 {
     const auto *p = static_cast<const std::uint8_t *>(hostPtr);
-    return p >= data_.data() && p < data_.data() + size_;
+    return p >= data_.get() && p < data_.get() + size_;
 }
 
 const NvRegion *

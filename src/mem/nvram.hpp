@@ -10,12 +10,24 @@
  * is modeled the other way around: anything *not* in the arena —
  * machine registers and abandoned execution contexts — is what a power
  * failure destroys.
+ *
+ * Zero on allocate: the arena's host memory is left uninitialised at
+ * construction, and allocate() zeroes each new region together with
+ * the alignment padding before it. Every byte in [0, used()) therefore
+ * starts at zero, as if the whole arena had been cleared; bytes at or
+ * above used() are unspecified. No model reads them: every reader —
+ * the app stack (the first region, at address 0), runtime NV state,
+ * the replay oracle, the fault injector's flips, the write journal —
+ * goes through allocated regions. A Board builds its arena once per
+ * cell and typically allocates a fifth to three fifths of it, so this
+ * keeps the host from clearing bytes nothing will touch.
  */
 
 #ifndef TICSIM_MEM_NVRAM_HPP
 #define TICSIM_MEM_NVRAM_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -42,7 +54,8 @@ class NvRam
     explicit NvRam(std::uint32_t size = 64 * 1024);
 
     /**
-     * Allocate a named region.
+     * Allocate a named region, zeroed along with the padding that
+     * aligns it.
      * @param align Alignment of the region base (power of two).
      * @return base address of the region.
      */
@@ -75,7 +88,7 @@ class NvRam
   private:
     std::uint32_t size_;
     std::uint32_t next_ = 0;
-    std::vector<std::uint8_t> data_;
+    std::unique_ptr<std::uint8_t[]> data_; ///< zeroed below next_ only
     std::vector<NvRegion> regions_;
 };
 

@@ -24,20 +24,16 @@ namespace {
 #define TICSIM_ASAN_ACTIVE 1
 #endif
 
-#if defined(TICSIM_ASAN_ACTIVE)
-#define TICSIM_NO_ASAN __attribute__((no_sanitize_address))
-#else
-#define TICSIM_NO_ASAN
-#endif
-
 /**
- * Copies a live stack image without sanitizer interception. The image
- * spans the fiber's active frames, whose ASan redzones are poisoned by
- * design — an intercepted memcpy over them reports a false
- * stack-buffer-underflow. A volatile byte loop keeps the compiler from
- * lowering this back into a memcpy libcall.
+ * Copies a live stack image. Under ASan the image spans the fiber's
+ * active frames, whose redzones are poisoned by design, so an
+ * intercepted memcpy over them reports a false stack-buffer-underflow;
+ * there, and only there, an uninstrumented volatile byte loop (which
+ * the compiler cannot lower back into a memcpy libcall) does the copy.
+ * Every other build copies with memcpy.
  */
-TICSIM_NO_ASAN void
+#if defined(TICSIM_ASAN_ACTIVE)
+__attribute__((no_sanitize_address)) void
 rawCopy(void *dst, const void *src, std::size_t n)
 {
     auto *d = static_cast<volatile unsigned char *>(dst);
@@ -45,6 +41,13 @@ rawCopy(void *dst, const void *src, std::size_t n)
     for (std::size_t i = 0; i < n; ++i)
         d[i] = s[i];
 }
+#else
+inline void
+rawCopy(void *dst, const void *src, std::size_t n)
+{
+    std::memcpy(dst, src, n);
+}
+#endif
 
 } // namespace
 
@@ -64,8 +67,9 @@ CheckpointArea::CheckpointArea(mem::NvRam &ram, const std::string &name,
             name + ".hdr" + std::to_string(i),
             static_cast<std::uint32_t>(sizeof(SlotHeader)), 8);
         hdr_[i] = reinterpret_cast<SlotHeader *>(ram.hostPtr(h));
-        // The arena is zero-initialized, so fresh headers fail the
-        // magic check and the area starts with no restore point.
+        // NvRam zeroes each region as it allocates it, so fresh
+        // headers fail the magic check and the area starts with no
+        // restore point.
     }
 }
 

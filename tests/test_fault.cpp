@@ -8,11 +8,15 @@
  */
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <sstream>
 #include <string>
 #include <sys/wait.h>
+#include <unistd.h>
 #include <vector>
 
 #include "energy/supply.hpp"
@@ -21,6 +25,7 @@
 #include "fault/plan.hpp"
 #include "mem/nvram.hpp"
 #include "support/crc32.hpp"
+#include "sweep/job_pool.hpp"
 #include "tics/checkpoint_area.hpp"
 #include "tics/undo_log.hpp"
 
@@ -47,7 +52,7 @@ TEST(Crc32, ChainingEqualsOneShot)
 namespace {
 
 /** Bytewise reference CRC-32 (reflected 0xEDB88320), one bit at a
- *  time, against which the table-driven implementation is checked. */
+ *  time, against which both kernels are checked. */
 std::uint32_t
 referenceCrc32(const std::uint8_t *p, std::size_t n, std::uint32_t seed)
 {
@@ -74,37 +79,57 @@ pseudoRandomBytes(std::size_t n)
     return v;
 }
 
+/** Both CRC kernels: crc32() (the carry-less fold from 64 bytes up,
+ *  on hosts that have it) and the portable slicing-by-8 one. */
+struct Crc32Kernel {
+    const char *name;
+    std::uint32_t (*fn)(const void *, std::size_t, std::uint32_t);
+};
+
+constexpr Crc32Kernel kCrc32Kernels[] = {
+    {"crc32", &crc32},
+    {"portable", &detail::crc32Portable},
+};
+
 } // namespace
 
 TEST(Crc32, MatchesBytewiseReferenceAtEveryLengthAndAlignment)
 {
-    // Every length around the 8-byte step and its tail, plus a few
-    // multi-KiB ones, each at every start offset within a word.
+    // Every length around the 8-byte step and its tail; every length
+    // across the fold's 64-byte blocks, single 16-byte folds and tail
+    // (65..272); the edges of a page; and a few multi-KiB ones. Each
+    // at every start offset within a 16-byte lane.
     std::vector<std::size_t> lengths;
-    for (std::size_t n = 0; n <= 64; ++n)
+    for (std::size_t n = 0; n <= 272; ++n)
         lengths.push_back(n);
-    for (std::size_t n : {2048u, 4099u, 8191u})
+    for (std::size_t n : {2048u, 4095u, 4096u, 4097u, 4099u, 8191u})
         lengths.push_back(n);
-    const auto buf = pseudoRandomBytes(8191 + 8);
-    for (std::size_t off = 0; off < 8; ++off)
-        for (std::size_t n : lengths)
-            for (std::uint32_t seed : {0u, 0xDEADBEEFu})
-                EXPECT_EQ(crc32(buf.data() + off, n, seed),
-                          referenceCrc32(buf.data() + off, n, seed))
-                    << "offset " << off << " length " << n;
+    const auto buf = pseudoRandomBytes(8191 + 16);
+    for (const Crc32Kernel &k : kCrc32Kernels)
+        for (std::size_t off = 0; off < 16; ++off)
+            for (std::size_t n : lengths)
+                for (std::uint32_t seed : {0u, 0xDEADBEEFu})
+                    EXPECT_EQ(k.fn(buf.data() + off, n, seed),
+                              referenceCrc32(buf.data() + off, n, seed))
+                        << k.name << " offset " << off << " length " << n;
 }
 
 TEST(Crc32, ChainingAtEverySplitPointEqualsOneShot)
 {
+    // Splits on either side of each 64-byte block and 16-byte lane
+    // boundary hand the fold a partial head and a partial tail.
     const auto buf = pseudoRandomBytes(1024 + 3);
-    for (std::size_t n : {64u, 1027u}) {
-        const std::uint32_t oneShot = crc32(buf.data(), n);
-        for (std::size_t split = 0; split <= n; ++split)
-            EXPECT_EQ(crc32(buf.data() + split, n - split,
-                            crc32(buf.data(), split)),
-                      oneShot)
-                << "length " << n << " split " << split;
-    }
+    for (const Crc32Kernel &k : kCrc32Kernels)
+        for (std::size_t n : {64u, 65u, 129u, 200u, 1027u}) {
+            const std::uint32_t oneShot = k.fn(buf.data(), n, 0);
+            EXPECT_EQ(oneShot, referenceCrc32(buf.data(), n, 0))
+                << k.name << " length " << n;
+            for (std::size_t split = 0; split <= n; ++split)
+                EXPECT_EQ(k.fn(buf.data() + split, n - split,
+                               k.fn(buf.data(), split, 0)),
+                          oneShot)
+                    << k.name << " length " << n << " split " << split;
+        }
 }
 
 // ---- Reset-pattern supply edges --------------------------------------------
@@ -386,6 +411,18 @@ TEST(FaultPlan, FormatParseRoundTrip)
     EXPECT_EQ(q.format(), p.format());
 }
 
+TEST(FaultPlan, LongFlipRegionFormatsWhole)
+{
+    // A region name has no length bound; format() must keep the
+    // "+offset&mask" after a long one, or its output would not parse.
+    const std::string text =
+        "flip@3:" + std::string(300, 'r') + "+7&0x01;off:12000000";
+    fault::FaultPlan p;
+    std::string err;
+    ASSERT_TRUE(fault::FaultPlan::parse(text, p, &err)) << err;
+    EXPECT_EQ(p.format(), text);
+}
+
 TEST(FaultPlan, RejectsMalformedAtoms)
 {
     fault::FaultPlan p;
@@ -581,7 +618,48 @@ runTicsfault(const std::string &args)
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
 } // namespace
+
+TEST(FaultCli, ExploreJobsZeroRunsOnEveryHardwareThread)
+{
+    // --jobs 0 means every hardware thread in both modes; the report
+    // records the resolved count, and the census does not depend on it.
+    const std::string stem = ::testing::TempDir() + "ticsfault-jobs-" +
+                             std::to_string(::getpid());
+    const std::string all = stem + "-0.json";
+    const std::string one = stem + "-1.json";
+    ASSERT_EQ(runTicsfault("--explore --app BC --jobs 0 --json '" + all +
+                           "'"),
+              0);
+    ASSERT_EQ(runTicsfault("--explore --app BC --jobs 1 --json '" + one +
+                           "'"),
+              0);
+    const std::string docAll = slurp(all);
+    const std::string docOne = slurp(one);
+    std::remove(all.c_str());
+    std::remove(one.c_str());
+    EXPECT_NE(docAll.find("\"jobs\":" +
+                          std::to_string(sweep::JobPool::defaultJobs()) +
+                          ","),
+              std::string::npos)
+        << docAll;
+    EXPECT_NE(docOne.find("\"jobs\":1,"), std::string::npos) << docOne;
+    const auto rows = [](const std::string &doc) {
+        const auto at = doc.find("\"pairs\":");
+        return at == std::string::npos ? std::string() : doc.substr(at);
+    };
+    ASSERT_NE(rows(docAll).find("\"app\":\"BC\""), std::string::npos);
+    EXPECT_EQ(rows(docAll), rows(docOne));
+}
 
 TEST(FaultCli, RejectsFlagsOfAnotherMode)
 {

@@ -35,6 +35,31 @@ TEST(NvRam, AllocatesAlignedRegions)
     EXPECT_GE(ram.used(), 11u);
 }
 
+TEST(NvRam, AllocatedBytesAndPaddingStartZero)
+{
+    // The arena is not cleared at construction; allocate() zeroes each
+    // region and the padding before it. Dirty the unallocated space
+    // before every allocation, so stale bytes would show if it didn't.
+    NvRam ram(4096);
+    const auto scribble = [&ram] {
+        for (Addr a = ram.used(); a < ram.size(); ++a)
+            *ram.hostPtr(a) = 0xA5;
+    };
+    const std::pair<std::uint32_t, std::uint32_t> sizeAlign[] = {
+        {3, 1}, {5, 64}, {1, 8}, {100, 16}, {0, 256}, {7, 2}, {24, 8}};
+    for (const auto &[size, align] : sizeAlign) {
+        scribble();
+        const std::uint32_t before = ram.used();
+        const Addr a = ram.allocate("r" + std::to_string(before), size,
+                                    align);
+        EXPECT_EQ(a % align, 0u);
+        for (Addr x = 0; x < ram.used(); ++x)
+            ASSERT_EQ(*ram.hostPtr(x), 0u) << "byte " << x;
+    }
+    // The padding cases above really padded.
+    EXPECT_GT(ram.used(), 3u + 5 + 1 + 100 + 0 + 7 + 24);
+}
+
 TEST(NvRam, HostPointerRoundTrip)
 {
     NvRam ram(1024);
