@@ -32,7 +32,7 @@ struct App {
         : b(board), rt(runtime), data(board.nvram(), "sort.data"),
           done(board.nvram(), "sort.done")
     {
-        // Deterministic scrambled input. ticslint models raw() as a
+        // Deterministic scrambled input. ticsverify --source models raw() as a
         // read+write of sort.data, so this seeding loop shows up as a
         // WAR span; expected, baselined.
         std::uint32_t s = 0xBEEF;
@@ -61,7 +61,7 @@ struct App {
             // and the program starves — try removing it).
             rt.triggerPoint();
             b.charge(12);
-            // ticslint reports the two pointer scans below as
+            // ticsverify --source reports the two pointer scans below as
             // unsegmented loops: the bound heuristic cannot see that
             // the pivot terminates them, and the latch trigger above
             // sits outside their bodies. Expected, baselined.

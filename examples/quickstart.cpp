@@ -52,8 +52,8 @@ struct App {
             std::uint64_t local = (i + 1) * 2654435761ULL;
             std::uint64_t *p = &local; // pointer into the stack
             rt.store(p, *p ^ (*p >> 13));
-            // ticslint reports these read-modify-writes as WAR spans
-            // (the Surbatovich condition holds over the text); the
+            // ticsverify --source reports these read-modify-writes as
+            // WAR spans (the Surbatovich condition holds over the text); the
             // undo log versions the segment on first write, so they
             // are safe under TICS. Expected findings, baselined.
             checksum = checksum.get() + sumDigits(*p);

@@ -124,7 +124,7 @@ checkMatrix(const CheckConfig &cfg)
 Table
 findingsTable(const std::vector<ScenarioFinding> &findings)
 {
-    Table t("ticscheck: WAR hazards and replay divergence per scenario");
+    Table t("ticsverify: WAR hazards and replay divergence per scenario");
     t.header({"App", "Runtime", "Done", "Reboots", "Intervals",
               "NV rd B", "NV wr B", "WAR mat", "WAR lat", "Div B",
               "Verdict"});
@@ -150,7 +150,7 @@ findingsTable(const std::vector<ScenarioFinding> &findings)
 Table
 hazardTable(const std::vector<ScenarioFinding> &findings)
 {
-    Table t("ticscheck: per-hazard detail");
+    Table t("ticsverify: per-hazard detail");
     t.header({"App", "Runtime", "Region", "Offset", "Bytes", "Boot",
               "Interval", "Materialized"});
     for (const auto &f : findings) {

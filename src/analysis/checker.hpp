@@ -1,8 +1,8 @@
 /**
  * @file
- * The ticscheck scenario driver: runs the paper's BC and Cuckoo
- * benchmarks under every runtime that can express them (TICS,
- * MementOS-like, Chinchilla-like, Alpaca-like tasks, and the
+ * The dynamic checker behind `ticsverify --dynamic`: runs the paper's
+ * BC and Cuckoo benchmarks under every runtime that can express them
+ * (TICS, MementOS-like, Chinchilla-like, Alpaca-like tasks, and the
  * unprotected plain-C baseline), with a failure-free reference run and
  * an intermittent subject run per scenario, and reduces each pair to
  * one ScenarioFinding: WAR hazards found by the detector plus final-
@@ -92,7 +92,7 @@ std::vector<ScenarioFinding> checkMatrix(const CheckConfig &cfg = {});
 /** Render findings in the repo's standard table format. */
 Table findingsTable(const std::vector<ScenarioFinding> &findings);
 
-/** Per-hazard detail rows (ticscheck --verbose). */
+/** Per-hazard detail rows (ticsverify --dynamic --verbose). */
 Table hazardTable(const std::vector<ScenarioFinding> &findings);
 
 } // namespace ticsim::analysis

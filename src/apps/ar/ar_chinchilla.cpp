@@ -1,7 +1,7 @@
 #include "ar_chinchilla.hpp"
 
-// ticslint's per-file mode does not model word versioning, so the
-// windowed state updates below appear as WAR spans (plus one
+// The per-file mode of ticsverify --source models no word versioning,
+// so the windowed state updates below appear as WAR spans (plus one
 // data-dependent loop the bound heuristic cannot close); the
 // Chinchilla-like runtime double-buffers every tracked word, so none
 // materialize. Expected, baselined in tools/ticslint.baseline.json.

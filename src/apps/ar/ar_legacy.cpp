@@ -1,6 +1,6 @@
 #include "ar_legacy.hpp"
 
-// ticslint reports WAR spans on the class counters in this file —
+// ticsverify --source reports WAR spans on the class counters in this file —
 // expected for the unmodified legacy variant (plain-C materializes
 // them; checkpointing runtimes mask them) and baselined in
 // tools/ticslint.baseline.json.

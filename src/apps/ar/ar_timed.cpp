@@ -1,6 +1,6 @@
 #include "ar_timed.hpp"
 
-// ticslint reports an io finding at each radio transmission point
+// ticsverify --source reports an io finding at each radio transmission point
 // (sends are inherently non-idempotent; a reboot between send and
 // checkpoint duplicates the packet) and WAR spans on the activity
 // counters. Both timed variants accept these — the paper's timely

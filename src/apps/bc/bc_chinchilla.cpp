@@ -1,9 +1,9 @@
 #include "bc_chinchilla.hpp"
 
-// ticslint's per-file mode does not model word versioning, so the
-// read-modify-writes on the ported state below appear as WAR spans;
-// Chinchilla-like double-buffers every tracked word, so they never
-// materialize. Expected, baselined in tools/ticslint.baseline.json.
+// The per-file mode of ticsverify --source models no word versioning,
+// so the read-modify-writes on the ported state below appear as WAR
+// spans; Chinchilla-like double-buffers every tracked word, so they
+// never materialize. Expected, baselined in tools/ticslint.baseline.json.
 
 namespace ticsim::apps {
 

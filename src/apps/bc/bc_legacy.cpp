@@ -1,6 +1,6 @@
 #include "bc_legacy.hpp"
 
-// ticslint reports WAR spans on the counters in this file. Legacy
+// ticsverify --source reports WAR spans on the counters in this file. Legacy
 // code carries exactly the hazards the checkpointing runtimes exist
 // to mask (plain-C materializes them dynamically), so the findings
 // are expected and baselined in tools/ticslint.baseline.json.

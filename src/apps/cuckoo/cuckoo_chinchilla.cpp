@@ -1,9 +1,9 @@
 #include "cuckoo_chinchilla.hpp"
 
-// ticslint's per-file mode does not model word versioning, so the
-// table/cursor read-modify-writes below appear as WAR spans; the
-// Chinchilla-like runtime double-buffers every tracked word, so none
-// materialize. Expected, baselined in tools/ticslint.baseline.json.
+// The per-file mode of ticsverify --source models no word versioning,
+// so the table/cursor read-modify-writes below appear as WAR spans;
+// the Chinchilla-like runtime double-buffers every tracked word, so
+// none materialize. Expected, baselined in tools/ticslint.baseline.json.
 
 namespace ticsim::apps {
 

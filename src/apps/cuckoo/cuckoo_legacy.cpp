@@ -2,7 +2,7 @@
 
 #include "apps/common/dsp.hpp"
 
-// ticslint reports WAR spans on the filter table and counters —
+// ticsverify --source reports WAR spans on the filter table and counters —
 // expected for the unmodified legacy variant (this is the app with
 // the densest dynamic WAR record under plain-C) and baselined in
 // tools/ticslint.baseline.json.

@@ -2,9 +2,9 @@
 
 #include <cstring>
 
-// ticslint reports WAR spans on the phase counters and io findings on
-// every radio transmission point in this file. The plain GHM app is
-// the paper's motivating unprotected example — the hazards are the
+// ticsverify --source reports WAR spans on the phase counters and io
+// findings on every radio transmission point in this file. The plain
+// GHM app is the paper's motivating unprotected example — hazards are the
 // subject matter, not defects — so the findings are expected and
 // baselined in tools/ticslint.baseline.json.
 

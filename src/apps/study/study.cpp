@@ -1,7 +1,7 @@
 #include "study.hpp"
 
-// ticslint reports WAR spans on the swap/bubble/timekeeping programs
-// below. These are the user-study listings, reproduced with their
+// ticsverify --source reports WAR spans on the swap/bubble/timekeeping
+// programs below. These are the user-study listings, reproduced with their
 // hazards intact (the swap triple-assignment is the canonical WAR
 // teaching example), so the findings are expected and baselined in
 // tools/ticslint.baseline.json.

@@ -12,6 +12,7 @@
 #include <sstream>
 
 #include "support/logging.hpp"
+#include "support/parse.hpp"
 
 #ifndef TICSIM_TRACE_DIR
 #define TICSIM_TRACE_DIR ""
@@ -75,22 +76,14 @@ EnvTrace::parse(const std::string &text, const std::string &origin,
         };
         if (comma == std::string::npos)
             return bad("expected 'time_s,power_w'");
+        // Plain decimals only: no hex, inf or nan, and no negative
+        // value, not even -0.
         double timeS = 0.0;
         double powerW = 0.0;
-        try {
-            std::size_t usedT = 0;
-            std::size_t usedP = 0;
-            const std::string ts = trimmed(line.substr(0, comma));
-            const std::string ps = trimmed(line.substr(comma + 1));
-            timeS = std::stod(ts, &usedT);
-            powerW = std::stod(ps, &usedP);
-            if (usedT != ts.size() || usedP != ps.size())
-                return bad("malformed number");
-        } catch (...) {
+        if (!parseDouble(trimmed(line.substr(0, comma)), timeS) ||
+            !parseDouble(trimmed(line.substr(comma + 1)), powerW))
             return bad("malformed number");
-        }
-        if (!std::isfinite(timeS) || !std::isfinite(powerW) ||
-            timeS < 0.0 || powerW < 0.0)
+        if (std::signbit(timeS) || std::signbit(powerW))
             return bad("time and power must be finite and >= 0");
         // Before the cast, which is undefined out of range; the bound
         // leaves headroom for startOffset + deathTime + off.

@@ -68,10 +68,10 @@ class EnvTrace
 
     /**
      * Parse "time_s,power_w" CSV text ('#' comments, blank lines
-     * skipped). @return nullptr with a message in @p err unless the
-     * trace has >= 2 samples, starts at t=0, is strictly ascending,
-     * every time is below 2^62 ns and all powers are finite and
-     * non-negative.
+     * skipped), each field a plain decimal (parseDouble()) and not
+     * negative, not even -0. @return nullptr with a message in @p err
+     * unless the trace has >= 2 samples, starts at t=0, is strictly
+     * ascending and every time is below 2^62 ns.
      */
     static std::shared_ptr<const EnvTrace>
     parse(const std::string &text, const std::string &origin,

@@ -60,7 +60,7 @@ struct PairConfig {
 
     PairConfig()
     {
-        // Same scaling as ticscheck: one Cuckoo pass must span several
+        // Same scaling as the checker: one Cuckoo pass must span several
         // injected outages for the unprotected split to show anything.
         cuckoo.workScale = 16.0;
     }
@@ -171,7 +171,7 @@ FaultPlan planFromAtoms(const FaultPlan &full,
 
 /** The campaign matrix: the catalog's consistency-matrix rows (BC and
  *  Cuckoo under TICS, MementOS-like, Chinchilla-like, Alpaca-like
- *  tasks, and plain C; 10 pairs, mirroring ticscheck). */
+ *  tasks, and plain C; 10 pairs, mirroring the dynamic checker). */
 std::vector<PairSpec> campaignPairs(const PairConfig &cfg);
 
 /**

@@ -61,7 +61,7 @@ std::unique_ptr<energy::Supply> makeSupply(const SupplySpec &spec);
 /** Failure-free spec (reference runs of the consistency checker). */
 SupplySpec continuousSpec();
 
-/** Pre-programmed reset-pattern spec (Table 1 setups, ticscheck). */
+/** Pre-programmed reset-pattern spec (Table 1 setups, the checker). */
 SupplySpec patternSpec(TimeNs period, double onFraction);
 
 /** Build a board with a perfect timekeeper (the common case). */

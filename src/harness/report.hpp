@@ -277,10 +277,10 @@ struct LintCrossValEntry {
 };
 
 /**
- * The `lint` section (written by ticslint; bumps the report to
- * version 6): source-level findings from the whole-file dogfood pass
- * and, when --crossval ran, the per-pair source-vs-model coverage
- * rows. Only ticslint calls setLint(), so every other bench's
+ * The `lint` section (written by ticsverify --source; bumps the
+ * report to version 6): source-level findings from the whole-file
+ * dogfood pass and, when --crossval ran, the per-pair source-vs-model
+ * coverage rows. Only the --source mode calls setLint(), so every other
  * document stays at version <= 5 byte-for-byte.
  */
 struct LintSection {

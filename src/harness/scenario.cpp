@@ -75,46 +75,67 @@ constexpr auto kAr = &ScenarioParams::ar;
 constexpr auto kBc = &ScenarioParams::bc;
 constexpr auto kCuckoo = &ScenarioParams::cuckoo;
 
+constexpr const char *kBcLegacy = "src/apps/bc/bc_legacy.cpp";
+constexpr const char *kCuckooLegacy = "src/apps/cuckoo/cuckoo_legacy.cpp";
+constexpr const char *kArLegacy = "src/apps/ar/ar_legacy.cpp";
+constexpr const char *kGhm = "src/apps/ghm/ghm.cpp";
+
 // Chinchilla cannot compile the recursive BC; its rows run the
 // hand-derecursed variant (Fig. 9's extra row).
 const Scenario kCatalog[] = {
     {"BC", "TICS", true, "tics.ckpt",
-     build<TicsRuntime, apps::BcLegacyApp, kBc>},
+     build<TicsRuntime, apps::BcLegacyApp, kBc>, kBcLegacy, "BcLegacyApp"},
     {"BC", "MementOS-like", true, "mementos.ckpt",
-     build<MementosRuntime, apps::BcLegacyApp, kBc>},
+     build<MementosRuntime, apps::BcLegacyApp, kBc>, kBcLegacy,
+     "BcLegacyApp"},
     {"BC", "Chinchilla-like", true, "chinchilla.ckpt",
-     build<ChinchillaRuntime, apps::BcChinchillaApp, kBc>},
+     build<ChinchillaRuntime, apps::BcChinchillaApp, kBc>,
+     "src/apps/bc/bc_chinchilla.cpp", "BcChinchillaApp"},
     {"BC", "Alpaca-like", true, "",
-     build<TaskRuntime, apps::BcTaskApp, kBc>},
+     build<TaskRuntime, apps::BcTaskApp, kBc>, "src/apps/bc/bc_task.cpp",
+     "BcTaskApp"},
     {"BC", "plain-C", false, "",
-     build<PlainCRuntime, apps::BcLegacyApp, kBc>},
+     build<PlainCRuntime, apps::BcLegacyApp, kBc>, kBcLegacy,
+     "BcLegacyApp"},
 
     {"Cuckoo", "TICS", true, "tics.ckpt",
-     build<TicsRuntime, apps::CuckooLegacyApp, kCuckoo>},
+     build<TicsRuntime, apps::CuckooLegacyApp, kCuckoo>, kCuckooLegacy,
+     "CuckooLegacyApp"},
     {"Cuckoo", "MementOS-like", true, "mementos.ckpt",
-     build<MementosRuntime, apps::CuckooLegacyApp, kCuckoo>},
+     build<MementosRuntime, apps::CuckooLegacyApp, kCuckoo>, kCuckooLegacy,
+     "CuckooLegacyApp"},
     {"Cuckoo", "Chinchilla-like", true, "chinchilla.ckpt",
-     build<ChinchillaRuntime, apps::CuckooChinchillaApp, kCuckoo>},
+     build<ChinchillaRuntime, apps::CuckooChinchillaApp, kCuckoo>,
+     "src/apps/cuckoo/cuckoo_chinchilla.cpp", "CuckooChinchillaApp"},
     {"Cuckoo", "Alpaca-like", true, "",
-     build<TaskRuntime, apps::CuckooTaskApp, kCuckoo>},
+     build<TaskRuntime, apps::CuckooTaskApp, kCuckoo>,
+     "src/apps/cuckoo/cuckoo_task.cpp", "CuckooTaskApp"},
     {"Cuckoo", "plain-C", false, "",
-     build<PlainCRuntime, apps::CuckooLegacyApp, kCuckoo>},
+     build<PlainCRuntime, apps::CuckooLegacyApp, kCuckoo>, kCuckooLegacy,
+     "CuckooLegacyApp"},
 
     {"AR", "TICS", true, "tics.ckpt",
-     build<TicsRuntime, apps::ArLegacyApp, kAr>},
+     build<TicsRuntime, apps::ArLegacyApp, kAr>, kArLegacy, "ArLegacyApp"},
     {"AR", "MementOS-like", true, "mementos.ckpt",
-     build<MementosRuntime, apps::ArLegacyApp, kAr>},
+     build<MementosRuntime, apps::ArLegacyApp, kAr>, kArLegacy,
+     "ArLegacyApp"},
     {"AR", "Chinchilla-like", true, "chinchilla.ckpt",
-     build<ChinchillaRuntime, apps::ArChinchillaApp, kAr>},
+     build<ChinchillaRuntime, apps::ArChinchillaApp, kAr>,
+     "src/apps/ar/ar_chinchilla.cpp", "ArChinchillaApp"},
     {"AR", "Alpaca-like", true, "",
-     build<TaskRuntime, apps::ArTaskApp, kAr>},
+     build<TaskRuntime, apps::ArTaskApp, kAr>, "src/apps/ar/ar_task.cpp",
+     "ArTaskApp"},
     {"AR", "plain-C", false, "",
-     build<PlainCRuntime, apps::ArLegacyApp, kAr>},
+     build<PlainCRuntime, apps::ArLegacyApp, kAr>, kArLegacy,
+     "ArLegacyApp"},
 
-    {"GHM", "TICS", true, "tics.ckpt", buildGhm<TicsRuntime>},
-    {"GHM", "plain-C", false, "", buildGhm<PlainCRuntime>},
+    {"GHM", "TICS", true, "tics.ckpt", buildGhm<TicsRuntime>, kGhm,
+     "GhmPlainApp"},
+    {"GHM", "plain-C", false, "", buildGhm<PlainCRuntime>, kGhm,
+     "GhmPlainApp"},
 
-    {"Study", "TICS", true, "tics.ckpt", buildStudy},
+    {"Study", "TICS", true, "tics.ckpt", buildStudy,
+     "src/apps/study/study.cpp", "TimekeepTics"},
 };
 
 struct Alias {

@@ -4,9 +4,11 @@
  * built in one place. A row names the pair, says whether the runtime
  * protects NV state and where its checkpoint area lives, and builds
  * the runtime and the app on a board from the values a tool passes in
- * (its app sizes and its TICS setup). The checker, verifier, fault
- * campaign, model checker and sweep select their rows from here, so
- * adding an app or a runtime is one row.
+ * (its app sizes and its TICS setup). It also names the source file
+ * and entry class that realize the pair, which the source-level lint
+ * analyzes. The checker, verifier, lint, fault campaign, model checker
+ * and sweep select their rows from here, so adding an app or a runtime
+ * is one row.
  */
 
 #ifndef TICSIM_HARNESS_SCENARIO_HPP
@@ -52,6 +54,10 @@ struct Scenario {
     /** CheckpointArea region prefix ("tics.ckpt", ...), "" if none. */
     const char *ckptPrefix;
     ScenarioInstance (*build)(board::Board &, const ScenarioParams &);
+    /** The app's source file, repo-relative, and the class whose
+     *  main() (else constructor) is the pair's entry there. */
+    const char *source;
+    const char *entryClass;
 };
 
 /**
@@ -62,8 +68,8 @@ struct Scenario {
 std::span<const Scenario> scenarios();
 
 /**
- * The consistency matrix ticscheck and ticsfault's campaign and
- * explorer run: BC and Cuckoo under every runtime. AR is left out
+ * The consistency matrix ticsverify --dynamic and ticsfault's campaign
+ * and explorer run: BC and Cuckoo under every runtime. AR is left out
  * because its sensor samples follow virtual time, so a failure-free
  * and an intermittent run diverge for reasons unrelated to memory
  * consistency.

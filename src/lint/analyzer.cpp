@@ -32,7 +32,7 @@ readFileOrThrow(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     if (!in)
-        throw std::runtime_error("ticslint: cannot read " + path);
+        throw std::runtime_error("ticsverify: cannot read " + path);
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();

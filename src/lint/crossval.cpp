@@ -11,47 +11,6 @@ namespace ticsim::lint {
 
 namespace {
 
-/** Which source file and entry class realize an (app, runtime) pair.
- *  Must stay in step with verify::verifyMatrix's construction list. */
-struct PairSource {
-    const char *app;
-    const char *runtime; ///< nullptr = any runtime of this app
-    const char *file;
-    const char *entryClass;
-};
-
-constexpr PairSource kPairSources[] = {
-    {"BC", "Chinchilla-like", "src/apps/bc/bc_chinchilla.cpp",
-     "BcChinchillaApp"},
-    {"BC", "Alpaca-like", "src/apps/bc/bc_task.cpp", "BcTaskApp"},
-    {"BC", nullptr, "src/apps/bc/bc_legacy.cpp", "BcLegacyApp"},
-    {"Cuckoo", "Chinchilla-like", "src/apps/cuckoo/cuckoo_chinchilla.cpp",
-     "CuckooChinchillaApp"},
-    {"Cuckoo", "Alpaca-like", "src/apps/cuckoo/cuckoo_task.cpp",
-     "CuckooTaskApp"},
-    {"Cuckoo", nullptr, "src/apps/cuckoo/cuckoo_legacy.cpp",
-     "CuckooLegacyApp"},
-    {"AR", nullptr, "src/apps/ar/ar_legacy.cpp", "ArLegacyApp"},
-    {"GHM", nullptr, "src/apps/ghm/ghm.cpp", "GhmPlainApp"},
-    {"Study", nullptr, "src/apps/study/study.cpp", "TimekeepTics"},
-    {"Relay+guard", nullptr, "src/verify/demo_app.cpp",
-     "SensorRelayApp"},
-    {"Relay-unguard", nullptr, "src/verify/demo_app.cpp",
-     "SensorRelayApp"},
-};
-
-const PairSource *
-lookupPair(const std::string &app, const std::string &runtime)
-{
-    for (const PairSource &p : kPairSources) {
-        if (app != p.app)
-            continue;
-        if (!p.runtime || runtime == p.runtime)
-            return &p;
-    }
-    return nullptr;
-}
-
 bool
 readFile(const std::string &path, std::string &out)
 {
@@ -92,15 +51,15 @@ crossValidate(const std::vector<verify::AppVerdict> &verdicts,
         row.runtime = v.runtime;
         row.dynamicCount = v.findings.size();
 
-        const PairSource *src = lookupPair(v.app, v.runtime);
+        const harness::Scenario *src = v.scenario;
         std::string text;
         std::vector<StaticFinding> statics;
         if (src &&
-            readFile((fs::path(sourceDir) / src->file).string(),
+            readFile((fs::path(sourceDir) / src->source).string(),
                      text)) {
-            row.file = src->file;
+            row.file = src->source;
             row.entryClass = src->entryClass;
-            statics = analyzeEntry(src->file, text, src->entryClass,
+            statics = analyzeEntry(src->source, text, src->entryClass,
                                    traitsForRuntime(v.runtime));
         }
         row.staticCount = statics.size();
@@ -135,7 +94,7 @@ crossValidate(const std::vector<verify::AppVerdict> &verdicts,
 Table
 crossValTable(const LintCrossVal &cv)
 {
-    Table t("ticslint: source-level findings vs recovered model");
+    Table t("ticsverify: source-level findings vs recovered model");
     t.header({"App", "Runtime", "Dynamic", "Matched", "Static",
               "Confirmed", "Coverage", "FPrate", "Verdict"});
     for (const LintCrossValRow &r : cv.rows) {

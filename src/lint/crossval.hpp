@@ -12,10 +12,10 @@ namespace ticsim::lint {
 /**
  * Source-vs-model cross-validation: the source-level analysis must
  * over-approximate the dynamic-model analysis. For every (app,
- * runtime) verdict of verify::verifyMatrix, the pair's source file is
- * analyzed from the pair's entry class under the pair's runtime
- * traits, and each dynamic finding must be covered by a source-level
- * finding:
+ * runtime) verdict of verify::verifyMatrix, the source file its
+ * catalog row names is analyzed from the row's entry class under the
+ * pair's runtime traits, and each dynamic finding must be covered by a
+ * source-level finding:
  *
  *   war-possibility  <-> war           (same NV region)
  *   timeliness       <-> timeliness    (same timed variable)
@@ -66,9 +66,9 @@ bool coversDynamic(const StaticFinding &s, const verify::Finding &d);
 
 /**
  * Cross-validate @p verdicts against the sources under @p sourceDir.
- * Pairs whose source file cannot be read come back with
- * dynamicCount set and nothing matched (so coverage gates fail loudly
- * instead of vacuously passing).
+ * Pairs with no catalog row or whose source file cannot be read come
+ * back with dynamicCount set and nothing matched (so coverage gates
+ * fail loudly instead of vacuously passing).
  */
 LintCrossVal crossValidate(const std::vector<verify::AppVerdict> &verdicts,
                            const std::string &sourceDir);

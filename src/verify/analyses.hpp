@@ -30,7 +30,7 @@
  * finding (the cross-validation harness machine-checks this), while
  * the reverse does not hold: a static finding is a *possibility*
  * under some failure schedule, not a certainty under the one schedule
- * ticscheck happened to run.
+ * the dynamic checker happened to run.
  */
 
 #ifndef TICSIM_VERIFY_ANALYSES_HPP

@@ -105,12 +105,7 @@ crossValidate(const VerifyConfig &cfg)
     // into its own pre-allocated slot; the matching below walks the
     // slots in a fixed order, so the report does not depend on the job
     // count or completion order.
-    analysis::CheckConfig dyn;
-    dyn.patternPeriod = cfg.patternPeriod;
-    dyn.patternOnFraction = cfg.patternOnFraction;
-    dyn.seed = cfg.seed;
-    dyn.bc = cfg.bc;
-    dyn.cuckoo = cfg.cuckoo;
+    const analysis::CheckConfig dyn = checkConfig(cfg);
 
     // Probes cover the verifier's rows that the checker's matrix
     // leaves out (AR, GHM, Study, SensorRelay).
@@ -254,7 +249,7 @@ crossValidate(const VerifyConfig &cfg)
 Table
 crossValTable(const CrossValReport &report)
 {
-    Table t("ticsverify: cross-validation vs dynamic ticscheck");
+    Table t("ticsverify: cross-validation vs the dynamic checker");
     t.header({"App", "Runtime", "Dynamic", "Matched", "Exact",
               "Static", "Confirmed", "Coverage", "FP rate"});
     char cov[32];

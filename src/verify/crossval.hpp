@@ -3,7 +3,7 @@
  * Cross-validation of the static verifier against the dynamic checker
  * — the soundness argument, machine-checked:
  *
- *  - every *dynamic* detection (a WAR hazard ticscheck's detector
+ *  - every *dynamic* detection (a WAR hazard the checker's detector
  *    found in a real intermittent run, an expiration violation the
  *    ViolationMonitor observed, a duplicate transmission the radio
  *    log recorded) must be covered by a static ticsverify finding on

@@ -14,9 +14,9 @@ SensorRelayApp::SensorRelayApp(board::Board &b, tics::TicsRuntime &rt,
                                                       "relay.radio");
 }
 
-// ticslint on this function reports the unguarded read (timeliness),
-// the unguarded transmission (io), and the counter read-modify-writes
-// (war). All are intentional: this app is the guarded-vs-unguarded
+// ticsverify --source reports the unguarded read (timeliness), the
+// unguarded transmission (io), and the counter read-modify-writes
+// (war) here. All are intentional: this app is the guarded-vs-unguarded
 // demonstration the verifier cross-validates against, so the findings
 // are baselined as expected (tools/ticslint.baseline.json). The
 // path-insensitive analyzer reports them in the +guard configuration

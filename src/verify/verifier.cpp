@@ -64,8 +64,10 @@ buildRelay(board::Board &b, const harness::ScenarioParams &p)
 }
 
 const harness::Scenario kRelay[] = {
-    {"Relay+guard", "TICS", true, "tics.ckpt", buildRelay<true>},
-    {"Relay-unguard", "TICS", true, "tics.ckpt", buildRelay<false>},
+    {"Relay+guard", "TICS", true, "tics.ckpt", buildRelay<true>,
+     "src/verify/demo_app.cpp", "SensorRelayApp"},
+    {"Relay-unguard", "TICS", true, "tics.ckpt", buildRelay<false>,
+     "src/verify/demo_app.cpp", "SensorRelayApp"},
 };
 
 } // namespace
@@ -131,6 +133,19 @@ verifierScenarios()
     return out;
 }
 
+analysis::CheckConfig
+checkConfig(const VerifyConfig &cfg)
+{
+    analysis::CheckConfig dyn;
+    dyn.patternPeriod = cfg.patternPeriod;
+    dyn.patternOnFraction = cfg.patternOnFraction;
+    dyn.budget = cfg.calibrationBudget;
+    dyn.seed = cfg.seed;
+    dyn.bc = cfg.bc;
+    dyn.cuckoo = cfg.cuckoo;
+    return dyn;
+}
+
 EnergyBudget
 deploymentBudget(const VerifyConfig &cfg,
                  const device::CostModel &costs)
@@ -158,6 +173,7 @@ verifyMatrix(const VerifyConfig &cfg)
     std::vector<AppVerdict> out;
     for (const harness::Scenario *s : verifierScenarios()) {
         AppVerdict v;
+        v.scenario = s;
         v.app = s->app;
         v.runtime = s->runtime;
         v.isProtected = s->isProtected;

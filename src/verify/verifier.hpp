@@ -5,10 +5,10 @@
  * supply's energy budget, runs the four static analyses, and reduces
  * everything to per-pair verdicts and a flat findings list.
  *
- * The verdict mirrors ticscheck's split: protected runtimes must come
- * out clean of WAR possibilities, while the unprotected plain-C
- * baseline (whole program = one region, no versioning) must be flagged
- * WAR-unsafe — and, whenever that one region outgrows a charge
+ * The verdict mirrors the dynamic checker's split: protected runtimes
+ * must come out clean of WAR possibilities, while the unprotected
+ * plain-C baseline (whole program = one region, no versioning) must be
+ * flagged WAR-unsafe — and, whenever that one region outgrows a charge
  * window, statically non-terminating too.
  * Applications that bypass the guard layers (direct radio sends,
  * unchecked timed reads) are flagged regardless of runtime — the point
@@ -34,7 +34,7 @@ namespace ticsim::verify {
 
 struct VerifyConfig {
     /** Deployment supply the static analyses verify against (the
-     *  tier-1 reset pattern by default, matching ticscheck). */
+     *  tier-1 reset pattern by default, matching the dynamic checker). */
     TimeNs patternPeriod = 30 * kNsPerMs;
     double patternOnFraction = 0.6;
     /** > 0: verify against a capacitor budget of this capacitance
@@ -44,7 +44,8 @@ struct VerifyConfig {
     double capVOff = 1.8;
     TimeNs capMaxOffTime = 3600 * kNsPerSec;
 
-    /** Virtual-time budget of one calibration run. */
+    /** Virtual-time budget of one calibration run, and of every
+     *  protected dynamic-checker run (checkConfig()). */
     TimeNs calibrationBudget = 600 * kNsPerSec;
     std::uint64_t seed = 11;
     std::uint64_t rebootLimit = 300; ///< starvation bound (outages)
@@ -74,13 +75,15 @@ struct VerifyConfig {
 
 /** One (app, runtime) pair's static verification outcome. */
 struct AppVerdict {
+    /** The catalog row verified; names its source for the lint. */
+    const harness::Scenario *scenario = nullptr;
     std::string app;
     std::string runtime;
-    bool isProtected = true; ///< same meaning as ticscheck's flag
+    bool isProtected = true; ///< same meaning as the checker's flag
     /** Pair is expected to carry WAR-possibility findings: the
      *  unprotected baseline (no versioning at all) and MementOS-like
      *  (no undo log — writes before the first checkpoint are
-     *  unrecoverable, the latent window ticscheck also reports). */
+     *  unrecoverable, the latent window the checker also reports). */
     bool expectWar = false;
     ProgramModel model;
     std::vector<Finding> findings;
@@ -121,6 +124,13 @@ std::span<const harness::Scenario> relayScenarios();
  * twins.
  */
 std::vector<const harness::Scenario *> verifierScenarios();
+
+/**
+ * The dynamic checker's configuration for the deployment @p cfg
+ * describes: its reset pattern, seed and app sizes, with the
+ * calibration budget bounding each protected run.
+ */
+analysis::CheckConfig checkConfig(const VerifyConfig &cfg);
 
 /** The deployment budget the config describes. */
 EnergyBudget deploymentBudget(const VerifyConfig &cfg,

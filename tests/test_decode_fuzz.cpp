@@ -3,15 +3,18 @@
  * Seeded, deterministic mutation fuzzing of the text decoders: the
  * result cache's Distribution::decode (the cache entry's `dist` line)
  * and CellResult::decode (its `result` line), the fault-plan grammar
- * FaultPlan::parse, and the trace CSV reader EnvTrace::parse.
+ * FaultPlan::parse, the trace CSV reader EnvTrace::parse, and the
+ * source-level lint's front end (lexer, parser, CFGs, checks) through
+ * lint::analyzeText.
  *
  * Each corpus is real text: the encode() output of sweep cells and
  * their merged distributions, the minimal schedules of the committed
  * depth-2 explorer census (docs/ticsfault.explore.depth2.example.txt),
- * and the committed environment traces (the CSV files in
- * docs/traces). Each mutant is made by byte flips, truncation,
- * duplicated tokens and hostile tokens in the format's own dialect
- * (space-separated numbers, ';'-joined plan atoms, CSV lines). A
+ * the committed environment traces (the CSV files in docs/traces), and
+ * the lint's dogfood sources. Each mutant is made by byte flips,
+ * truncation, duplicated tokens and hostile tokens in the format's own
+ * dialect (space-separated numbers, ';'-joined plan atoms, CSV lines,
+ * C++ source lines). A
  * cache line or a plan must either fail to decode or decode to a
  * value that survives one re-encode unchanged (a fixed point), so a
  * cache entry can never decode to something it would not write back,
@@ -19,8 +22,9 @@
  * trace must either be rejected or hold every invariant
  * EnvTrace::parse documents. A negative value on an unsigned cache
  * field must fail to decode; hand-picked cases pin that directly. The
- * budget is a fixed mutant count per seed, well under a second per
- * test (ASan included).
+ * lint must analyze any mutant without throwing and report only
+ * well-formed findings. The budget is a fixed mutant count per seed,
+ * about a second per test or less (ASan included).
  */
 
 #include <gtest/gtest.h>
@@ -31,10 +35,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "energy/trace_supply.hpp"
 #include "fault/plan.hpp"
+#include "lint/analyzer.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "sweep/cache.hpp"
@@ -132,6 +139,23 @@ const Dialect kTraceDialect{
      "1,1e-400", "nan,1", "2,inf", "0x10,1", "4611686018.427387903,1",
      "4611686018.427387904,1", "1e-10,1", "5", ",", "5,", ",5",
      "# comment", "  7 , 0.25  ", "3,2,1", "1.5e2,3e-2"},
+};
+
+/** C++ source: lines, with the tokens that steer the lexer's and the
+ *  parser's state (raw strings, comments, unbalanced brackets, the
+ *  TICS special forms) and a run of 300 open parentheses. */
+const Dialect kSourceDialect{
+    '\n',
+    "{}()[];:<>\"'/\\*#=,.&|!~^%?+-_ \n\tRu8Lx0123456789abcdefnst",
+    {"{", "}", "}}}}", "((((", ")", "R\"x(", ")x\"", "u8R\"(", "\"", "'",
+     "'\\''", "/*", "*/", "//", "\\", "#define X {", "#if 0",
+     "template <typename T> struct S", "while (true) {", "for (;;)",
+     "do { } while (0);", "goto x; x:", "switch (x) { case 1:",
+     "tics::expires(", "tics::expires(r, [&] {", "tics::timely(",
+     "rt.store(", "radio.send(", "::", "operator()(", "auto f = [&]() {",
+     "int a[] = {1, 2, 3};", "class C : public D {", "~C();", "...",
+     "<<=", ">>>", "? :", "&&&", "return", "if (", "else", "0x", "1e",
+     "a.b->c::d", std::string(300, '(')},
 };
 
 /** A byte a flip writes: the dialect's alphabet, or noise. */
@@ -239,6 +263,17 @@ fixtureTraces()
     for (const std::string &n : names)
         texts.push_back(readSource("docs/traces/" + n));
     return texts;
+}
+
+/** The lint's dogfood set: repo-relative name and text per file. */
+std::vector<std::pair<std::string, std::string>>
+dogfoodSources()
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    for (const std::string &rel :
+         lint::defaultSourceSet(TICSIM_SOURCE_DIR))
+        out.emplace_back(rel, readSource(rel));
+    return out;
 }
 
 /** Decode @p text with a fresh T; if it decodes, its encoding must
@@ -388,4 +423,45 @@ TEST(DecodeFuzz, NegativeUnsignedFieldsAreRejected)
     sweep::CellResult ok;
     EXPECT_TRUE(ok.decode("1 0 1 2 100 5000 4000"));
     EXPECT_EQ(ok.reboots, 2u);
+}
+
+TEST(DecodeFuzz, LintFrontEndSurvivesMutatedSources)
+{
+    const auto seeds = dogfoodSources();
+    ASSERT_GE(seeds.size(), 15u);
+    constexpr int kSourceMutants = 48;
+    Rng rng(0x5EED);
+    std::size_t findings = 0;
+    for (const auto &[name, text] : seeds) {
+        ASSERT_FALSE(text.empty()) << name;
+        for (int i = 0; i < kSourceMutants; ++i) {
+            const std::string m = mutate(text, rng, kSourceDialect);
+            lint::FileReport rep;
+            ASSERT_NO_THROW(rep = lint::analyzeText(
+                                name, m, lint::fileModeTraits()))
+                << name << " mutant " << i;
+            const int lines =
+                1 + static_cast<int>(std::count(m.begin(), m.end(), '\n'));
+            for (std::size_t k = 0; k < rep.findings.size(); ++k) {
+                const lint::StaticFinding &f = rep.findings[k];
+                EXPECT_TRUE(f.rule == lint::kRuleWar ||
+                            f.rule == lint::kRuleTimeliness ||
+                            f.rule == lint::kRuleIo ||
+                            f.rule == lint::kRuleSegmentation)
+                    << f.rule;
+                EXPECT_EQ(f.file, name);
+                EXPECT_GE(f.line, 1) << name << " mutant " << i;
+                EXPECT_LE(f.line, lines) << name << " mutant " << i;
+                if (k > 0) {
+                    const lint::StaticFinding &p = rep.findings[k - 1];
+                    EXPECT_LT(std::tie(p.line, p.rule, p.subject),
+                              std::tie(f.line, f.rule, f.subject))
+                        << "findings sorted and deduplicated";
+                }
+            }
+            findings += rep.findings.size();
+        }
+    }
+    // Most mutants leave most of a file intact, so findings survive.
+    EXPECT_GT(findings, seeds.size() * kSourceMutants);
 }

@@ -415,7 +415,7 @@ TEST(LintReport, V6DocumentRoundTrip)
     {
         harness::ReportOptions opts;
         opts.jsonPath = path;
-        harness::BenchSession session("ticslint", opts);
+        harness::BenchSession session("ticsverify", opts);
         harness::LintSection lint;
         lint.filesAnalyzed = 2;
         lint.functionsAnalyzed = 5;

@@ -3,7 +3,8 @@
  * Tests for the scenario catalog (harness/scenario.hpp): every row,
  * built on a fresh continuous board, completes and verifies; the
  * matrix tools select exactly the catalog's BC and Cuckoo rows in
- * order; every name alias resolves to its row, through the sweep's
+ * order; every row names a source file that defines its entry class;
+ * every name alias resolves to its row, through the sweep's
  * axis parser and the fault campaign's replay too; and an unknown pair
  * fails loudly instead of running some other app.
  */
@@ -11,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <fstream>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -86,6 +89,20 @@ TEST_P(CatalogRow, CompletesAndVerifiesOnAContinuousBoard)
     EXPECT_FALSE(res.starved);
     EXPECT_EQ(res.reboots, 0u);
     EXPECT_TRUE(inst.verify());
+}
+
+TEST_P(CatalogRow, NamesTheSourceThatDefinesItsEntryClass)
+{
+    // The lint's source-vs-model crossval analyzes this file from this
+    // class; a row pointing elsewhere would cover nothing.
+    const harness::Scenario &s = *GetParam().s;
+    std::ifstream in(std::string(TICSIM_SOURCE_DIR) + "/" + s.source);
+    ASSERT_TRUE(in.good()) << s.source;
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_NE(text.str().find(std::string(s.entryClass) + "::"),
+              std::string::npos)
+        << s.entryClass << " in " << s.source;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -72,6 +72,13 @@ TEST(EnvTrace, RejectsMalformedInput)
     EXPECT_EQ(EnvTrace::parse("0 0.01\n1 0.02\n", "<t>", err),
               nullptr)
         << "the separator is a comma";
+    // Numbers are plain decimals, as on every command line.
+    EXPECT_EQ(EnvTrace::parse("0,0\n0x10,1\n", "<t>", err), nullptr)
+        << "a hex time is not a decimal";
+    EXPECT_EQ(EnvTrace::parse("0,0\n1,0x1p-2\n", "<t>", err), nullptr)
+        << "a hex-float power is not a decimal";
+    EXPECT_EQ(EnvTrace::parse("0,0\n1,-0\n", "<t>", err), nullptr)
+        << "a power of -0 carries a sign";
     EXPECT_FALSE(err.empty());
     // 2e10 s is 2e19 ns: past what TimeNs holds, rejected before the
     // conversion (which would be undefined) rather than by whatever

@@ -3,12 +3,20 @@
  * Tests for the static verification subsystem (ticsverify): energy
  * budget arithmetic, the three analyses on hand-built models, program
  * model recovery from calibration runs, the full-matrix verdict split,
- * and the cross-validation soundness gate against the dynamic checker.
+ * the cross-validation soundness gate against the dynamic checker, and
+ * the ticsverify CLI's mode flags and baseline gates.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "analysis/war_detector.hpp"
 #include "apps/bc/bc_legacy.hpp"
@@ -353,3 +361,277 @@ TEST(CrossValidation, EveryDynamicDetectionIsCoveredStatically)
     // reported, not failed.
     EXPECT_GE(report.totalStatic, report.totalConfirmed);
 }
+
+TEST(CrossValidation, CheckerConfigFollowsTheDeployment)
+{
+    // At defaults the verifier's deployment is the checker's own.
+    const analysis::CheckConfig plain = checkConfig(VerifyConfig{});
+    const analysis::CheckConfig dflt{};
+    EXPECT_EQ(plain.patternPeriod, dflt.patternPeriod);
+    EXPECT_EQ(plain.patternOnFraction, dflt.patternOnFraction);
+    EXPECT_EQ(plain.budget, dflt.budget);
+    EXPECT_EQ(plain.unprotectedBudget, dflt.unprotectedBudget);
+    EXPECT_EQ(plain.seed, dflt.seed);
+    EXPECT_EQ(plain.bc.iterations, dflt.bc.iterations);
+    EXPECT_EQ(plain.cuckoo.workScale, dflt.cuckoo.workScale);
+
+    VerifyConfig cfg;
+    cfg.patternPeriod = 40 * kNsPerMs;
+    cfg.patternOnFraction = 0.5;
+    cfg.calibrationBudget = 100 * kNsPerSec;
+    cfg.seed = 3;
+    cfg.bc.iterations = 7;
+    const analysis::CheckConfig dyn = checkConfig(cfg);
+    EXPECT_EQ(dyn.patternPeriod, 40 * kNsPerMs);
+    EXPECT_EQ(dyn.patternOnFraction, 0.5);
+    EXPECT_EQ(dyn.budget, 100 * kNsPerSec);
+    EXPECT_EQ(dyn.seed, 3u);
+    EXPECT_EQ(dyn.bc.iterations, 7u);
+}
+
+// ---- the ticsverify CLI ----------------------------------------------------
+
+#ifdef TICSIM_TICSVERIFY_BIN
+
+namespace {
+
+struct CliRun {
+    int status; ///< exit status, -1 if it did not exit normally
+    std::string output; ///< stdout and stderr
+};
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+std::string
+scratchPath(const std::string &name)
+{
+    return ::testing::TempDir() + "ticsverify-" +
+           std::to_string(::getpid()) + "-" + name;
+}
+
+CliRun
+runTicsverify(const std::string &args)
+{
+    const std::string out = scratchPath("out.txt");
+    const std::string cmd = std::string("'") + TICSIM_TICSVERIFY_BIN +
+                            "' " + args + " > '" + out + "' 2>&1";
+    const int status = std::system(cmd.c_str());
+    CliRun r{WIFEXITED(status) ? WEXITSTATUS(status) : -1, slurp(out)};
+    std::remove(out.c_str());
+    return r;
+}
+
+/** A committed baseline, repo-relative. */
+std::string
+committed(const std::string &rel)
+{
+    return std::string(TICSIM_SOURCE_DIR) + "/" + rel;
+}
+
+/** Write @p text to scratch file @p name; @return its path. */
+std::string
+scratchFile(const std::string &name, const std::string &text)
+{
+    const std::string path = scratchPath(name);
+    std::ofstream(path, std::ios::binary) << text;
+    return path;
+}
+
+/** @p text with @p from replaced once by @p to. */
+std::string
+replaced(std::string text, const std::string &from, const std::string &to)
+{
+    const auto at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+} // namespace
+
+TEST(VerifyCli, RejectsFlagsOfAnotherMode)
+{
+    // Each refusal happens while parsing, before any run starts, and
+    // names the flag and the mode it belongs to.
+    const struct {
+        const char *args;
+        const char *reason;
+    } cases[] = {
+        {"--dynamic --crossval",
+         "--crossval applies only to the default mode and --source"},
+        {"--dynamic --baseline x",
+         "--baseline applies only to the default mode and --source"},
+        {"--source --prob", "--prob applies only to the default mode"},
+        {"--source --jobs 2", "--jobs applies only to the default mode"},
+        {"--dynamic --size-capacitor BC/TICS",
+         "--size-capacitor applies only to the default mode"},
+        {"--budget-s 5", "--budget-s applies only to --dynamic"},
+        {"--source --budget-s 5", "--budget-s applies only to --dynamic"},
+        {"--source-dir .", "--source-dir applies only to --source"},
+        {"--dynamic --source-dir .", "--source-dir applies only to --source"},
+        {"--dynamic --source", "--dynamic and --source exclude each other"},
+    };
+    for (const auto &c : cases) {
+        const CliRun r = runTicsverify(c.args);
+        EXPECT_EQ(r.status, 2) << c.args;
+        EXPECT_NE(r.output.find(c.reason), std::string::npos)
+            << c.args << ": " << r.output;
+    }
+}
+
+TEST(VerifyCli, ProbTolNeedsThreeFiniteNonNegativeNumbers)
+{
+    // NaN would pass the gate's `dev > tol` test on every row; junk, a
+    // missing or extra field, and negative, infinite or hex values are
+    // malformed too.
+    for (const char *tol : {"nan,nan,nan", "0.35,0.6,0.8junk", "0.35,0.6",
+                            "0.35,0.6,0.8,1", "-1,0.6,0.8", "inf,1,1",
+                            "0x1p-2,1,1", " 1,1,1", ""}) {
+        const CliRun r =
+            runTicsverify(std::string("--prob-tol '") + tol + "'");
+        EXPECT_EQ(r.status, 2) << tol;
+        EXPECT_NE(r.output.find("bad --prob-tol value"), std::string::npos)
+            << tol << ": " << r.output;
+    }
+}
+
+TEST(VerifyCli, UnknownSizingPairExitsTwoBeforeAnyRun)
+{
+    for (const char *pair : {"Nope/X", "BC", "BC/nope"}) {
+        const CliRun r =
+            runTicsverify(std::string("--size-capacitor '") + pair + "'");
+        EXPECT_EQ(r.status, 2) << pair;
+        EXPECT_NE(r.output.find("unknown pair"), std::string::npos)
+            << r.output;
+        EXPECT_EQ(r.output.find("static verification per"),
+                  std::string::npos)
+            << "ran the matrix first: " << r.output;
+    }
+}
+
+TEST(VerifyCli, ProbModelsTheCommonDeployment)
+{
+    // --period-ms and --on-fraction mean one thing in every mode: the
+    // probabilistic rows model that reset pattern too.
+    const CliRun r =
+        runTicsverify("--prob --period-ms 40 --on-fraction 0.5");
+    EXPECT_EQ(r.status, 0) << r.output;
+    EXPECT_NE(r.output.find("| pattern:40:0.5 "), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("pattern:30:0.6"), std::string::npos)
+        << r.output;
+}
+
+TEST(VerifyCli, BaselineGatesFailOnAddedAndVanishedKeys)
+{
+    const std::string verify =
+        slurp(committed("tools/ticsverify.baseline.json"));
+    const std::string lint = slurp(committed("tools/ticslint.baseline.json"));
+    ASSERT_FALSE(verify.empty());
+    ASSERT_FALSE(lint.empty());
+
+    // The committed files pass.
+    EXPECT_EQ(runTicsverify("--baseline '" +
+                            committed("tools/ticsverify.baseline.json") +
+                            "'")
+                  .status,
+              0);
+    EXPECT_EQ(runTicsverify("--source --baseline '" +
+                            committed("tools/ticslint.baseline.json") + "'")
+                  .status,
+              0);
+
+    // A key no finding produces: a fixed finding, or a stale file.
+    const std::string phantomVerify = scratchFile(
+        "phantom-verify.json",
+        replaced(verify, "\"keys\":[",
+                 "\"keys\":[\"BC|TICS|war-possibility|bc.phantom\","));
+    CliRun r = runTicsverify("--baseline '" + phantomVerify + "'");
+    EXPECT_EQ(r.status, 1) << r.output;
+    EXPECT_NE(r.output.find("VANISHED FINDING (in baseline, not produced): "
+                            "BC|TICS|war-possibility|bc.phantom"),
+              std::string::npos)
+        << r.output;
+
+    const std::string phantomLint = scratchFile(
+        "phantom-lint.json",
+        replaced(lint, "\"keys\":[", "\"keys\":[\"bc.phantom\","));
+    r = runTicsverify("--source --baseline '" + phantomLint + "'");
+    EXPECT_EQ(r.status, 1) << r.output;
+    EXPECT_NE(r.output.find("VANISHED FINDING (in baseline, not produced): "
+                            "bc.phantom"),
+              std::string::npos)
+        << r.output;
+
+    // A finding the baseline lacks.
+    const std::string missingLint = scratchFile(
+        "missing-lint.json",
+        replaced(lint, "\"examples/quickstart.cpp|war|app.rounds\",", ""));
+    r = runTicsverify("--source --baseline '" + missingLint + "'");
+    EXPECT_EQ(r.status, 1) << r.output;
+    EXPECT_NE(r.output.find("NEW FINDING (not in baseline): "
+                            "examples/quickstart.cpp|war|app.rounds"),
+              std::string::npos)
+        << r.output;
+
+    // Each mode refuses the other's file before it runs.
+    EXPECT_EQ(runTicsverify("--baseline '" + phantomLint + "'").status, 2);
+    EXPECT_EQ(runTicsverify("--source --baseline '" + phantomVerify + "'")
+                  .status,
+              2);
+    std::remove(phantomVerify.c_str());
+    std::remove(phantomLint.c_str());
+    std::remove(missingLint.c_str());
+}
+
+TEST(VerifyCli, ProbBaselineGateNeedsProbVerdicts)
+{
+    const std::string verify =
+        slurp(committed("tools/ticsverify.baseline.json"));
+    const auto prob = verify.find(",\"prob\":[");
+    ASSERT_NE(prob, std::string::npos);
+    const std::string keysOnly = scratchFile(
+        "keys-only.json", verify.substr(0, prob) + "}\n");
+
+    // Without --prob the keys alone are gated, and they match.
+    EXPECT_EQ(runTicsverify("--baseline '" + keysOnly + "'").status, 0);
+    // Under --prob a file with nothing to compare fails, not skips.
+    const CliRun r = runTicsverify("--prob --baseline '" + keysOnly + "'");
+    EXPECT_EQ(r.status, 1) << r.output;
+    EXPECT_NE(r.output.find("carries no prob verdicts"), std::string::npos)
+        << r.output;
+    std::remove(keysOnly.c_str());
+
+    EXPECT_EQ(runTicsverify("--prob --baseline '" +
+                            committed("tools/ticsverify.baseline.json") +
+                            "'")
+                  .status,
+              0);
+}
+
+TEST(VerifyCli, WriteBaselineWritesTheModesWholeFile)
+{
+    // Without --prob and --crossval, each mode still writes what its
+    // gates compare: the committed files, byte for byte.
+    const std::string verify = scratchPath("written-verify.json");
+    const std::string lint = scratchPath("written-lint.json");
+    ASSERT_EQ(runTicsverify("--write-baseline '" + verify + "'").status, 0);
+    ASSERT_EQ(runTicsverify("--source --write-baseline '" + lint + "'")
+                  .status,
+              0);
+    EXPECT_EQ(slurp(verify),
+              slurp(committed("tools/ticsverify.baseline.json")));
+    EXPECT_EQ(slurp(lint), slurp(committed("tools/ticslint.baseline.json")));
+    std::remove(verify.c_str());
+    std::remove(lint.c_str());
+}
+
+#endif // TICSIM_TICSVERIFY_BIN

@@ -22,8 +22,11 @@ bin="$1/bench"
 out="$2"
 mkdir -p "$out"
 
-"$bin/ticscheck" --verbose > "$out/ticscheck.txt"
-"$bin/ticscheck" --json "$out/ticscheck.json" > /dev/null
+# The --dynamic and --source outputs keep the names they had while
+# those modes were the tools ticscheck and ticslint, so that batteries
+# of older builds still line up under diff -r.
+"$bin/ticsverify" --dynamic --verbose > "$out/ticscheck.txt"
+"$bin/ticsverify" --dynamic --json "$out/ticscheck.json" > /dev/null
 
 "$bin/ticsverify" --verbose --crossval > "$out/ticsverify.crossval.txt"
 "$bin/ticsverify" --verbose --crossval --jobs 1 \
@@ -34,10 +37,10 @@ mkdir -p "$out"
 "$bin/ticsfault" --campaign --jobs 1 \
     --json "$out/ticsfault.campaign.json" > /dev/null
 
-"$bin/ticslint" --verbose --crossval > "$out/ticslint.crossval.txt"
+"$bin/ticsverify" --source --verbose --crossval \
+    > "$out/ticslint.crossval.txt"
 
-# The file keeps the name it had while the explorer was its own tool,
-# so that batteries of older builds still line up under diff -r.
+# Likewise for the explorer, once the tool ticsmc.
 "$bin/ticsfault" --explore --max-faults 2 > "$out/ticsmc.depth2.txt"
 
 grid=(--apps AR,BC,CF

@@ -321,7 +321,7 @@ def validate_perf(perf):
 
 
 def validate_lint(lint):
-    """The ticslint section's coverage arithmetic."""
+    """The ticsverify --source section's coverage arithmetic."""
     if lint["files_analyzed"] == 0:
         raise ValueError("lint: zero files analyzed")
     if len(lint["findings"]) > 0 and lint["functions_analyzed"] == 0:
