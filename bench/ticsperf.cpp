@@ -7,8 +7,9 @@
  *  - Per-subsystem microbenchmarks over the hot paths the counters
  *    instrument: raw nv<T> stores, gated stores, sink-observed stores,
  *    undo-log append/clear batches, checkpoint commit+recover,
- *    PhaseScope and HostScope enter/exit, event-ring pushes and a
- *    result-cache round-trip.
+ *    fresh and resumed fiber context-switch round trips, PhaseScope
+ *    and HostScope enter/exit, event-ring pushes and a result-cache
+ *    round-trip.
  *
  *  - A macro throughput run: every (app, runtime) pair of the fault
  *    campaign's 10-pair matrix, one cell each, under the default
@@ -36,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "context/exec_context.hpp"
 #include "harness/report.hpp"
 #include "mem/nv.hpp"
 #include "mem/nvram.hpp"
@@ -187,6 +189,47 @@ runMicrobenches(bool quick)
                 fatal("ticsperf: committed checkpoint not recoverable");
         }
         out.push_back(finishMicro("ckpt_commit_recover", commits, t0));
+    }
+    const std::uint64_t switches = quick ? 20'000 : 200'000;
+    {
+        // A boot that completes: prepare() builds the start slot, run()
+        // switches in, and the entry returns through the trampoline.
+        std::vector<std::uint8_t> stack(64 * 1024);
+        context::ExecContext ctx(stack.data(), stack.size());
+        std::uint64_t ran = 0;
+        const double t0 = nowMs();
+        for (std::uint64_t i = 0; i < switches; ++i) {
+            ctx.prepare([&ran] { ++ran; });
+            ctx.run();
+        }
+        out.push_back(finishMicro("ctx_fresh_roundtrip", switches, t0));
+        if (ran != switches)
+            fatal("ticsperf: fresh context ran %llu of %llu times",
+                  static_cast<unsigned long long>(ran),
+                  static_cast<unsigned long long>(switches));
+    }
+    {
+        // A checkpoint resume without the image copy: run() re-enters
+        // a captured save(), which dies at once through exitWith().
+        // Nothing writes above the capture frame, so the stack needs
+        // no restore between rounds.
+        std::vector<std::uint8_t> stack(64 * 1024);
+        context::ExecContext ctx(stack.data(), stack.size());
+        context::RegSlot slot;
+        ctx.prepare([&ctx, &slot] {
+            ctx.armResumedCheck();
+            context::save(slot);
+            ctx.wasResumed();
+            ctx.exitWith(context::ExitReason::PowerFail);
+        });
+        ctx.run();
+        const double t0 = nowMs();
+        for (std::uint64_t i = 0; i < switches; ++i) {
+            ctx.prepareResume(slot);
+            if (ctx.run() != context::ExitReason::PowerFail)
+                fatal("ticsperf: resumed context did not die");
+        }
+        out.push_back(finishMicro("ctx_resume_roundtrip", switches, t0));
     }
     {
         telemetry::PhaseProfiler prof;

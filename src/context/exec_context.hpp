@@ -4,32 +4,43 @@
  *
  * Application code is real, natively compiled C++ (full pointers and
  * recursion), but it runs on a stack buffer carved out of the simulated
- * FRAM arena inside a ucontext. This gives the simulator the three
- * properties an FRAM MCU has:
+ * FRAM arena, as a fiber the simulator switches into and out of. This
+ * gives the simulator the three properties an FRAM MCU has:
  *
  *  1. The call stack physically persists across power failures (the
  *     buffer is never cleared), but
  *  2. machine registers (PC, SP, callee state) are volatile: a power
  *     failure abandons the context, and
- *  3. a register checkpoint (getcontext) plus a copy of the live stack
+ *  3. a register checkpoint (save()) plus a copy of the live stack
  *     region is sufficient to resume execution mid-function after a
  *     reboot, at the same addresses, so pointers into the stack stay
  *     valid.
  *
+ * On x86-64 the switch is a few lines of assembly that save and
+ * restore only the registers the SysV ABI makes a callee preserve;
+ * other targets keep glibc's ucontext behind the same primitives. No
+ * switch touches the signal mask: nothing in the simulator changes it.
+ *
  * A note on abandonment: a simulated power failure leaves the context
- * via setcontext without unwinding, exactly as a real brown-out would.
- * Application code must therefore keep only trivially-destructible
- * state on the simulated stack (which embedded firmware does anyway).
+ * by a register jump without unwinding, exactly as a real brown-out
+ * would. Application code must therefore keep only trivially-
+ * destructible state on the simulated stack (which embedded firmware
+ * does anyway).
  */
 
 #ifndef TICSIM_CONTEXT_EXEC_CONTEXT_HPP
 #define TICSIM_CONTEXT_EXEC_CONTEXT_HPP
 
-#include <ucontext.h>
-
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
+
+#if defined(__x86_64__) && defined(__ELF__)
+#define TICSIM_CONTEXT_ASM 1
+#else
+#include <ucontext.h>
+#endif
 
 namespace ticsim::context {
 
@@ -45,18 +56,58 @@ enum class ExitReason {
  * Machine-register checkpoint slot. Opaque to callers; the TICS
  * runtime double-buffers two of these. The modeled size of this
  * structure on the target is Mcu::regFileBytes, not sizeof(RegSlot).
+ * On x86-64 it holds what the SysV ABI makes a callee preserve (72
+ * bytes, no pointer into itself), so a copy anywhere in memory
+ * resumes like the original.
  */
+#if defined(TICSIM_CONTEXT_ASM)
+struct RegSlot {
+    std::uint64_t rsp = 0;
+    std::uint64_t rip = 0;
+    std::uint64_t rbx = 0;
+    std::uint64_t rbp = 0;
+    std::uint64_t r12 = 0;
+    std::uint64_t r13 = 0;
+    std::uint64_t r14 = 0;
+    std::uint64_t r15 = 0;
+    std::uint32_t mxcsr = 0; ///< SSE control and status
+    std::uint16_t x87cw = 0; ///< x87 control word
+};
+#define TICSIM_CONTEXT_SAVE_SYMBOL "ticsim_ctx_save"
+#else
 struct RegSlot {
     ucontext_t uc;
 };
+#define TICSIM_CONTEXT_SAVE_SYMBOL "getcontext"
+#endif
+
+/**
+ * Capture the calling frame's registers into @p slot. Returns twice,
+ * like setjmp: once now, and again each time ExecContext::run()
+ * re-enters @p slot after prepareResume(). The two returns look the
+ * same, so a capture site brackets the call with
+ * ExecContext::armResumedCheck() and wasResumed(). It must be called
+ * directly (the compiler will not inline a wrapper around a
+ * returns-twice function, and a wrapper's frame is gone by the time
+ * the slot is resumed), and whatever the resume path reads from the
+ * stack must be copied into the image after this call, in the same
+ * frame.
+ */
+__attribute__((returns_twice)) void
+save(RegSlot &slot) asm(TICSIM_CONTEXT_SAVE_SYMBOL);
+
+/**
+ * Copy @p n bytes of a live fiber stack image (capture or restore).
+ * A memcpy, except under ASan: the image spans frames whose redzones
+ * are poisoned by design, so there an uninstrumented byte loop copies.
+ */
+void copyStack(void *dst, const void *src, std::size_t n);
 
 /**
  * A relocatable suspended-fiber image: machine registers plus the live
- * stack bytes, owned on the host heap. Unlike a checkpoint slot (whose
- * RegSlot must stay at its capture address), a FiberImage may be moved
- * and stored inside a board::Snapshot; armFiberResume() re-homes the
- * registers before resuming. Captured by captureFiber() from inside
- * the context, resumed by armFiberResume() + run() from outside.
+ * stack bytes, owned on the host heap, so it may be copied, moved and
+ * stored inside a board::Snapshot. Captured by captureFiber() from
+ * inside the context, resumed by armFiberResume() + run() from outside.
  */
 struct FiberImage {
     RegSlot regs{};
@@ -67,7 +118,7 @@ struct FiberImage {
 /**
  * One application execution context on a caller-provided stack buffer.
  * Single-threaded simulation: exactly one context runs at a time,
- * entered and exited only through run()/exitWith()/captureRegs().
+ * entered and exited only through run()/exitWith().
  */
 class ExecContext
 {
@@ -90,8 +141,8 @@ class ExecContext
 
     /**
      * Arm a resume-from-checkpoint: the next run() re-enters the
-     * captureRegs() call that filled @p slot (whose stack contents the
-     * caller must already have restored).
+     * save() call that filled @p slot, which must outlive that run()
+     * (and whose stack contents the caller must already have restored).
      */
     void prepareResume(RegSlot &slot);
 
@@ -101,28 +152,13 @@ class ExecContext
      */
     ExitReason run();
 
-    /**
-     * From inside the application context: capture the machine
-     * registers into @p slot.
-     * @return true on the capture path; false when execution re-enters
-     *         here through prepareResume()/run() after a reboot.
-     *
-     * NOTE: only safe when the caller does not rely on stack-spilled
-     * locals after the call (the resumed stack image may predate the
-     * call). Checkpointing runtimes should instead use
-     * armResumedCheck()/getcontext()/wasResumed() inline, in the same
-     * frame that copies the stack image *after* the capture, so every
-     * spill slot the resume path can read is part of the image.
-     */
-    bool captureRegs(RegSlot &slot);
-
-    /** Clear the resume discriminator before an inline getcontext(). */
+    /** Clear the resume discriminator before a save(). */
     void armResumedCheck() { resumedFlag_ = false; }
 
     /**
-     * Test-and-clear the resume discriminator after an inline
-     * getcontext(): true when execution re-entered the capture point
-     * via prepareResume()/run().
+     * Test-and-clear the resume discriminator after a save(): true
+     * when execution re-entered the capture point via
+     * prepareResume()/run().
      */
     bool
     wasResumed()
@@ -146,10 +182,11 @@ class ExecContext
     bool captureFiber(FiberImage &img, std::uint32_t redzoneBytes = 256);
 
     /**
-     * Arm a resume from @p img: restores the stack bytes and re-homes
-     * the register slot into this context, so the next run() re-enters
-     * the captureFiber() call that produced the image. @p img must
-     * describe this context's stack buffer.
+     * Arm a resume from @p img: restores the stack bytes and copies
+     * the registers into this context (so @p img may be freed before
+     * run()); the next run() re-enters the captureFiber() call that
+     * produced the image. @p img must describe this context's stack
+     * buffer.
      */
     void armFiberResume(const FiberImage &img);
 
@@ -179,15 +216,13 @@ class ExecContext
     std::uint8_t *stackBase_;
     std::size_t stackSize_;
     Entry entry_;
-    ucontext_t schedCtx_{};
-    ucontext_t startCtx_{};
-    RegSlot *resumeSlot_ = nullptr;
-    /** Stable home for relocated FiberImage registers: glibc x86-64
-     *  ucontext_t points at its own FP-state member, so a moved copy
-     *  must be re-homed into one fixed slot before setcontext. */
-    RegSlot fiberResumeRegs_{};
-    bool armedFresh_ = false;
-    bool armedResume_ = false;
+    RegSlot sched_{};     ///< the scheduler, while run() is switched out
+    RegSlot start_{};     ///< fresh-boot entry, built by prepare()
+    RegSlot fiberRegs_{}; ///< registers of armFiberResume()'s image
+    RegSlot *armed_ = nullptr; ///< what the next run() enters
+    bool resumeArmed_ = false; ///< armed_ is a capture, not start_
+    /** Set by run() when it resumes a capture. Host state, never on the
+     *  simulated stack, so a restored stack image cannot forge it. */
     volatile bool resumedFlag_ = false;
     bool inside_ = false;
     ExitReason reason_ = ExitReason::Completed;

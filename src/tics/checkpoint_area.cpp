@@ -14,43 +14,6 @@
 
 namespace ticsim::tics {
 
-namespace {
-
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define TICSIM_ASAN_ACTIVE 1
-#endif
-#elif defined(__SANITIZE_ADDRESS__)
-#define TICSIM_ASAN_ACTIVE 1
-#endif
-
-/**
- * Copies a live stack image. Under ASan the image spans the fiber's
- * active frames, whose redzones are poisoned by design, so an
- * intercepted memcpy over them reports a false stack-buffer-underflow;
- * there, and only there, an uninstrumented volatile byte loop (which
- * the compiler cannot lower back into a memcpy libcall) does the copy.
- * Every other build copies with memcpy.
- */
-#if defined(TICSIM_ASAN_ACTIVE)
-__attribute__((no_sanitize_address)) void
-rawCopy(void *dst, const void *src, std::size_t n)
-{
-    auto *d = static_cast<volatile unsigned char *>(dst);
-    auto *s = static_cast<const volatile unsigned char *>(src);
-    for (std::size_t i = 0; i < n; ++i)
-        d[i] = s[i];
-}
-#else
-inline void
-rawCopy(void *dst, const void *src, std::size_t n)
-{
-    std::memcpy(dst, src, n);
-}
-#endif
-
-} // namespace
-
 static_assert(sizeof(CheckpointArea::SlotHeader) == 24,
               "slot header must be packed: the fault model addresses "
               "its exact NV bytes");
@@ -190,7 +153,7 @@ captureStackImage(board::Board &b, CheckpointArea::Slot &slot,
 {
     auto &ctx = b.ctx();
     ctx.armResumedCheck();
-    getcontext(&slot.regs.uc);
+    context::save(slot.regs);
     if (ctx.wasResumed())
         return false;
 
@@ -203,10 +166,11 @@ captureStackImage(board::Board &b, CheckpointArea::Slot &slot,
     // Journal the image pool overwrite (raw NV write); the stack
     // source itself is exempt from journaling by design.
     mem::journalNote(slot.image, slot.imgSize);
-    rawCopy(slot.image, reinterpret_cast<void *>(low), slot.imgSize);
+    context::copyStack(slot.image, reinterpret_cast<void *>(low),
+                       slot.imgSize);
     // Count on the capture path only (the resume path bailed above);
     // perf::hot() is re-resolved here on purpose — no cached pointer
-    // may live across the getcontext boundary.
+    // may live across the save() boundary.
     perf::hot().ckptBytesMoved += slot.imgSize;
     return true;
 }
@@ -219,8 +183,8 @@ restoreStackImage(const CheckpointArea::Slot &slot)
         ++c.ckptRestores;
         c.ckptRestoreBytes += slot.imgSize;
     }
-    rawCopy(reinterpret_cast<void *>(slot.imgLow), slot.image,
-            slot.imgSize);
+    context::copyStack(reinterpret_cast<void *>(slot.imgLow), slot.image,
+                       slot.imgSize);
 }
 
 } // namespace ticsim::tics

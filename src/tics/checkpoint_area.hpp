@@ -131,9 +131,7 @@ class CheckpointArea
      * NV headers and image pools are restored by the write journal;
      * this covers the host fields: both slots' register snapshots,
      * segmentation copies and image geometry, plus the validity cache
-     * and rejection counter. Only replayed into the same object (the
-     * register snapshot contains self-referential ucontext pointers
-     * that survive an in-place byte copy but not relocation).
+     * and rejection counter.
      */
     void
     saveHostState(StateWriter &w) const
@@ -176,7 +174,7 @@ class CheckpointArea
 
 /**
  * Capture the machine registers and the live host stack image into
- * @p slot. The getcontext() and the image copy happen in this one
+ * @p slot. The context::save() and the image copy happen in this one
  * frame, *in that order*, so every stack byte the resume path can read
  * — including this function's own spill slots — is part of the image.
  * Callers on the capture path then fill the slot's remaining fields
