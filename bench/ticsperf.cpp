@@ -8,8 +8,9 @@
  *    instrument: raw nv<T> stores, gated stores, sink-observed stores,
  *    undo-log append/clear batches, checkpoint commit+recover,
  *    fresh and resumed fiber context-switch round trips, PhaseScope
- *    and HostScope enter/exit, event-ring pushes and a result-cache
- *    round-trip.
+ *    and HostScope enter/exit, event-ring pushes, a result-cache
+ *    round-trip and the explorer's fork (a light board snapshot plus
+ *    restore).
  *
  *  - A macro throughput run: every (app, runtime) pair of the fault
  *    campaign's 10-pair matrix, one cell each, under the default
@@ -37,8 +38,13 @@
 #include <string>
 #include <vector>
 
+#include "board/board.hpp"
+#include "board/runtime.hpp"
 #include "context/exec_context.hpp"
+#include "energy/supply.hpp"
 #include "harness/report.hpp"
+#include "harness/scenario.hpp"
+#include "mem/journal.hpp"
 #include "mem/nv.hpp"
 #include "mem/nvram.hpp"
 #include "mem/trace.hpp"
@@ -53,6 +59,7 @@
 #include "telemetry/phase.hpp"
 #include "tics/checkpoint_area.hpp"
 #include "tics/undo_log.hpp"
+#include "timekeeper/timekeeper.hpp"
 
 using namespace ticsim;
 
@@ -120,6 +127,59 @@ class PassGate final : public mem::AccessSink
     {
         std::memcpy(dst, src, bytes);
     }
+};
+
+/**
+ * A BC/TICS board run to completion with a write journal installed,
+ * landing every gated store journaled, as the explorer's recording
+ * does, and taking one light snapshot at the @p k-th store (none for
+ * k = 0).
+ */
+class ForkBench final : public mem::AccessSink
+{
+  public:
+    explicit ForkBench(std::uint64_t k)
+        : board_(board::BoardConfig{},
+                 std::make_unique<energy::ContinuousSupply>(),
+                 std::make_unique<timekeeper::PerfectTimekeeper>()),
+          k_(k)
+    {
+        harness::ScenarioParams params;
+        params.tics = harness::matrixTics();
+        env_ = harness::scenario("BC", "TICS").build(board_, params);
+        mem::ScopedSink s(this);
+        if (!board_.run(*env_.runtime, env_.entry, 10 * kNsPerSec).completed)
+            fatal("ticsperf: the fork bench's BC/TICS run did not complete");
+    }
+
+    void
+    store(mem::StoreSite, void *dst, const void *src,
+          std::uint32_t bytes) override
+    {
+        if (++stores_ == k_)
+            board_.snapshot(snap_);
+        mem::journalNote(dst, bytes);
+        std::memcpy(dst, src, bytes);
+    }
+
+    /** One fork: roll back to the snapshot and capture it again. */
+    void
+    fork()
+    {
+        board_.restore(snap_);
+        board_.snapshot(snap_);
+    }
+
+    std::uint64_t stores() const { return stores_; }
+
+  private:
+    mem::WriteJournal journal_;
+    mem::ScopedWriteJournal sj_{&journal_};
+    board::Board board_;
+    harness::ScenarioInstance env_;
+    board::Snapshot snap_;
+    std::uint64_t k_;
+    std::uint64_t stores_ = 0;
 };
 
 std::vector<harness::PerfMicrobenchEntry>
@@ -279,6 +339,20 @@ runMicrobenches(bool quick)
         out.push_back(
             finishMicro("result_cache_roundtrip", rounds, t0));
         std::filesystem::remove_all(dir);
+    }
+    {
+        // The explorer's fork, mid-run: after the first round the
+        // journal has nothing to undo, so this times the host-state
+        // copies of one snapshot and one restore.
+        const std::uint64_t mid = ForkBench(0).stores() / 2;
+        ForkBench bench(mid);
+        if (mid == 0 || bench.stores() < mid)
+            fatal("ticsperf: the fork bench captured no snapshot");
+        const std::uint64_t forks = quick ? 20'000 : 200'000;
+        const double t0 = nowMs();
+        for (std::uint64_t i = 0; i < forks; ++i)
+            bench.fork();
+        out.push_back(finishMicro("fork_snapshot_restore", forks, t0));
     }
     return out;
 }

@@ -235,13 +235,17 @@ Board::finishRun()
 bool
 Board::snapshot(Snapshot &s, bool withFiber)
 {
+    // Every field is overwritten, into the storage @p s already has, so
+    // a Snapshot captured again allocates nothing once it has grown.
     if (withFiber) {
         s.hasFiber = true;
         if (!ctx_->captureFiber(s.fiber))
             return false; // re-entry path after a restore()
     } else {
         s.hasFiber = false;
-        s.fiber = context::FiberImage{};
+        s.fiber.regs = {};
+        s.fiber.low = 0;
+        s.fiber.bytes.clear();
     }
     s.now = now_;
     s.onTime = onTime_;
@@ -255,34 +259,33 @@ Board::snapshot(Snapshot &s, bool withFiber)
     s.mcuCycles = mcu_.cycles();
     s.rng = rng_;
     {
-        StateWriter w;
+        StateWriter w(s.sensors);
         w.put(accel_);
         w.put(temp_);
         w.put(moisture_);
-        s.sensors = w.take();
     }
     s.radioPackets = radio_.sentCount();
     s.monitor = monitor_;
     s.profiler = profiler_;
     s.events = events_.mark();
     {
-        StateWriter w;
+        StateWriter w(s.supply);
         supply_->saveState(w);
-        s.supply = w.take();
     }
+    s.supplyStats = supply_->stats();
     {
-        StateWriter w;
+        StateWriter w(s.timekeeper);
         tk_->saveState(w);
-        s.timekeeper = w.take();
     }
     {
-        StateWriter w;
+        StateWriter w(s.runtime);
         if (rt_ != nullptr)
             rt_->saveState(w);
-        s.runtime = w.take();
     }
     if (rt_ != nullptr)
         s.runtimeStats = rt_->stats();
+    else
+        s.runtimeStats = StatGroup("");
     s.journalMark = mem::journalMark();
     return true;
 }
@@ -323,6 +326,7 @@ Board::restore(const Snapshot &s)
         // Time moved backwards: a horizon computed later is wrong here.
         supply_->dropHorizon();
     }
+    supply_->stats() = s.supplyStats;
     {
         StateReader r(s.timekeeper);
         tk_->loadState(r);

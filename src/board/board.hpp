@@ -102,6 +102,7 @@ struct Snapshot {
     telemetry::PhaseProfiler profiler{};
     telemetry::EventRing::Mark events{};
     StateBlob supply;
+    StatGroup supplyStats{""};
     StateBlob timekeeper;
     StateBlob runtime;
     StatGroup runtimeStats{""};
@@ -146,7 +147,10 @@ class Board
      * live application stack + registers so the restored run resumes
      * mid-application; in that case the call must come from inside the
      * app context and returns false on the re-entry path after a
-     * restore() (mirroring ExecContext::captureFiber).
+     * restore() (mirroring ExecContext::captureFiber). Every field of
+     * @p s is overwritten in the storage it already has, so capturing
+     * again into the same Snapshot allocates nothing once its blobs,
+     * fiber image and stats groups have grown to size.
      */
     bool snapshot(Snapshot &s, bool withFiber = false);
 

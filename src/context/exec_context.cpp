@@ -228,6 +228,41 @@ unpoisonFiberStack(std::uint8_t *base, std::size_t size)
 }
 
 /**
+ * ASan fiber shims. Without them ASan keeps the thread's own stack
+ * bounds while a fiber runs, so a noreturn call on the fiber (every
+ * abandonment is one) cannot unpoison the fiber's frames and warns
+ * instead. Every switch is bracketed: start before it, naming the
+ * stack being entered, and finish right after it, on that stack. The
+ * fiber never resumes from the point where it switched out (a resume
+ * re-enters an earlier save()), so it leaves with a null fake-stack
+ * save, which frees its fake frames, and enters with a null one.
+ */
+inline void
+asanStartSwitch(void **fakeStackSave, const void *bottom, std::size_t size)
+{
+#if defined(TICSIM_ASAN_ACTIVE)
+    __sanitizer_start_switch_fiber(fakeStackSave, bottom, size);
+#else
+    (void)fakeStackSave;
+    (void)bottom;
+    (void)size;
+#endif
+}
+
+inline void
+asanFinishSwitch(void *fakeStackSave, const void **bottomOld,
+                 std::size_t *sizeOld)
+{
+#if defined(TICSIM_ASAN_ACTIVE)
+    __sanitizer_finish_switch_fiber(fakeStackSave, bottomOld, sizeOld);
+#else
+    (void)fakeStackSave;
+    (void)bottomOld;
+    (void)sizeOld;
+#endif
+}
+
+/**
  * TSan fiber shims. TSan tracks shadow state per stack; without
  * telling it about context switches it sees one OS thread's accesses
  * jump between the scheduler stack and the simulated FRAM stack and
@@ -338,6 +373,7 @@ ExecContext::trampoline()
 {
     ExecContext *self = currentCtx;
     TICSIM_ASSERT(self != nullptr);
+    self->enteredFiber();
     self->entry_();
     // Entry returned normally: report completion and jump back to the
     // scheduler explicitly. A jump instead of a plain return keeps the
@@ -346,8 +382,15 @@ ExecContext::trampoline()
     // frame from the *scheduler's* shadow stack.
     self->reason_ = ExitReason::Completed;
     self->inside_ = false;
+    asanStartSwitch(nullptr, self->asanSchedBottom_, self->asanSchedSize_);
     tsanFiberSwitch(self->tsanSchedFiber_);
     detail::jump(self->sched_);
+}
+
+void
+ExecContext::enteredFiber()
+{
+    asanFinishSwitch(nullptr, &asanSchedBottom_, &asanSchedSize_);
 }
 
 void
@@ -388,7 +431,9 @@ ExecContext::run()
     unpoisonFiberStack(stackBase_, stackSize_);
     tsanSchedFiber_ = tsanFiberCurrent();
     tsanFiberSwitch(tsanFiber_);
+    asanStartSwitch(&asanSchedFakeStack_, stackBase_, stackSize_);
     detail::swap(sched_, target);
+    asanFinishSwitch(asanSchedFakeStack_, nullptr, nullptr);
     inside_ = false;
     currentCtx = nullptr;
     return reason_;
@@ -435,6 +480,7 @@ ExecContext::exitWith(ExitReason reason)
     reason_ = reason;
     inside_ = false;
     // Abandon the context without unwinding, like a brown-out.
+    asanStartSwitch(nullptr, asanSchedBottom_, asanSchedSize_);
     tsanFiberSwitch(tsanSchedFiber_);
     detail::jump(sched_);
 }

@@ -165,6 +165,7 @@ class ExecContext
     {
         if (resumedFlag_) {
             resumedFlag_ = false;
+            enteredFiber();
             return true;
         }
         return false;
@@ -212,6 +213,9 @@ class ExecContext
 
   private:
     static void trampoline();
+    /** First thing on the fiber after each switch in: finishes the
+     *  ASan switch annotation (a no-op in other builds). */
+    void enteredFiber();
 
     std::uint8_t *stackBase_;
     std::size_t stackSize_;
@@ -230,6 +234,12 @@ class ExecContext
      *  context stack, plus the scheduler fiber to switch back to. */
     void *tsanFiber_ = nullptr;
     void *tsanSchedFiber_ = nullptr;
+    /** ASan switch state (unused outside ASan builds): the scheduler's
+     *  fake stack while the fiber runs, and the scheduler stack's
+     *  bounds, learnt on each switch in, to name on the switch out. */
+    void *asanSchedFakeStack_ = nullptr;
+    const void *asanSchedBottom_ = nullptr;
+    std::size_t asanSchedSize_ = 0;
 };
 
 } // namespace ticsim::context

@@ -89,8 +89,8 @@ class Supply
      * Snapshot/restore hooks for the failure-space explorer
      * (board::Snapshot). Implementations serialize exactly the
      * mutable dynamics that influence future drain() results; the
-     * statistics group is captured separately by the Board (StatGroup
-     * is copyable). The defaults cover stateless supplies
+     * Board captures and restores the statistics group itself
+     * (Snapshot::supplyStats). The defaults cover stateless supplies
      * (continuous, pattern). A blob is only replayed into the same
      * object it was captured from.
      */

@@ -35,7 +35,17 @@ struct Decision {
     board::Snapshot snap{};
 };
 
-using Frame = std::vector<Decision>;
+/**
+ * The decisions one recording pass found. A walker keeps one Frame per
+ * depth and records into it again for every branch at that depth: the
+ * first `size` decisions are overwritten in place and more are only
+ * appended, so each Decision's buffers keep their capacity and a
+ * steady-state recording allocates nothing.
+ */
+struct Frame {
+    std::vector<Decision> decisions;
+    std::size_t size = 0; ///< decisions of the latest recording
+};
 
 /**
  * A store decision's local alphabet: the distinct torn images the
@@ -121,7 +131,7 @@ class ShardWalker
                 const PairRunOutcome &ref, unsigned shard,
                 unsigned shardCount)
         : cfg_(cfg), spec_(spec), ref_(ref), shard_(shard),
-          shards_(shardCount)
+          shards_(shardCount), frames_(cfg.maxFaults)
     {
         path_.offNs = cfg.base.offNs;
     }
@@ -144,8 +154,7 @@ class ShardWalker
         const analysis::BoundReference oracle =
             bindReference(ref_, fb.board);
         oracle_ = &oracle;
-        Frame top;
-        const board::RunResult cleanRes = record(top);
+        const board::RunResult cleanRes = record(frames_[0]);
 
         // The fault-free recording pass must be the reference run.
         if (!judgeLeaf(oracle, env, cleanRes).kind.empty()) {
@@ -153,8 +162,8 @@ class ShardWalker
             return st_;
         }
 
-        st_.decisionPoints = top.size();
-        walkFrame(top, cfg_.maxFaults - 1, /*sharded=*/true);
+        st_.decisionPoints = frames_[0].size;
+        walkFrame(0, /*sharded=*/true);
         return st_;
     }
 
@@ -164,13 +173,18 @@ class ShardWalker
     board::RunResult
     record(Frame &frame)
     {
+        frame.size = 0;
         inj_->setHook([this, &frame](const CountedEvent &ev) {
-            Decision &d = frame.emplace_back();
+            Decision &d = frame.size < frame.decisions.size()
+                              ? frame.decisions[frame.size]
+                              : frame.decisions.emplace_back();
+            ++frame.size;
             d.isStore = ev.isStore;
             d.boundary = ev.boundary;
             d.site = ev.site;
             d.bytes = ev.bytes;
             d.dst = ev.dst;
+            d.src.clear();
             if (ev.isStore) {
                 const auto *src = static_cast<const std::uint8_t *>(ev.src);
                 d.src.assign(src, src + ev.bytes);
@@ -183,28 +197,30 @@ class ShardWalker
         return res;
     }
 
+    /** Branch over the decisions of frames_[@p depth], newest first. */
     void
-    walkFrame(const Frame &frame, std::uint32_t depthLeft, bool sharded)
+    walkFrame(std::uint32_t depth, bool sharded)
     {
+        const Frame &frame = frames_[depth];
         // The frontier cap keeps the *latest* decisions: the earliest
         // ones sit a few events past boot, where sampling campaigns
         // already reach cheaply.
         std::size_t lo = 0;
-        if (cfg_.maxDecisions != 0 && frame.size() > cfg_.maxDecisions)
-            lo = frame.size() - cfg_.maxDecisions;
-        for (std::size_t i = frame.size(); i-- > 0;) {
+        if (cfg_.maxDecisions != 0 && frame.size > cfg_.maxDecisions)
+            lo = frame.size - cfg_.maxDecisions;
+        for (std::size_t i = frame.size; i-- > 0;) {
             if (sharded && i % shards_ != shard_)
                 continue;
             if (i < lo) {
                 ++st_.frontierCutoffs;
                 continue;
             }
-            exploreDecision(frame[i], depthLeft);
+            exploreDecision(frame.decisions[i], depth);
         }
     }
 
     void
-    exploreDecision(const Decision &d, std::uint32_t depthLeft)
+    exploreDecision(const Decision &d, std::uint32_t depth)
     {
         if (!d.isStore) {
             // A boundary forks one branch: die right at it.
@@ -212,22 +228,22 @@ class ShardWalker
                 {.boundary = d.boundary,
                  .occurrence =
                      d.state.census.boundary[static_cast<int>(d.boundary)]});
-            branch(d, nullptr, depthLeft);
+            branch(d, nullptr, depth);
             path_.cuts.pop_back();
             return;
         }
         for (const TornWrite &t : tearsAt(d)) {
             path_.tears.push_back(t);
-            branch(d, &t, depthLeft);
+            branch(d, &t, depth);
             path_.tears.pop_back();
         }
     }
 
-    /** Restore @p d, die there — after landing @p tear, if any — and
-     *  drive the run to a leaf, recording the next frame on the way
-     *  while depth remains. */
+    /** Restore @p d, a decision of frames_[@p depth], and die there —
+     *  after landing @p tear, if any — then drive the run to a leaf,
+     *  recording frames_[depth + 1] on the way while depth remains. */
     void
-    branch(const Decision &d, const TornWrite *tear, std::uint32_t depthLeft)
+    branch(const Decision &d, const TornWrite *tear, std::uint32_t depth)
     {
         board_->board.restore(d.snap);
         inj_->setState(d.state);
@@ -240,13 +256,15 @@ class ShardWalker
         }
         board_->supply.noteForcedDeath();
         board_->board.markInjectedDeath();
-        if (depthLeft == 0) {
+        if (depth + 1 == frames_.size()) {
             classifyLeaf(board_->board.continueRun());
             return;
         }
-        Frame sub;
-        classifyLeaf(record(sub));
-        walkFrame(sub, depthLeft - 1, /*sharded=*/false);
+        // frames_ never reallocates, and frames_[depth + 1] is not
+        // frames_[depth], so @p d stays valid while the next depth is
+        // recorded over.
+        classifyLeaf(record(frames_[depth + 1]));
+        walkFrame(depth + 1, /*sharded=*/false);
     }
 
     void
@@ -273,6 +291,8 @@ class ShardWalker
     FaultInjector *inj_ = nullptr;
     harness::ScenarioInstance *env_ = nullptr;
     const analysis::BoundReference *oracle_ = nullptr;
+    /** One reused recording per depth, sized once from maxFaults. */
+    std::vector<Frame> frames_;
     /** The faults of the branch being walked, outermost first. */
     FaultPlan path_;
     ShardStats st_;

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/logging.hpp"
@@ -27,10 +28,21 @@ namespace ticsim {
 /** Opaque captured state. */
 using StateBlob = std::vector<std::uint8_t>;
 
-/** Appends trivially-copyable values to a blob. */
+/**
+ * Appends trivially-copyable values to a blob: a buffer of its own,
+ * handed out by take(), or a caller's blob, which it overwrites in
+ * place. The latter keeps the blob's capacity, so a snapshot captured
+ * again and again into the same storage stops allocating once its
+ * blobs have grown to size.
+ */
 class StateWriter
 {
   public:
+    StateWriter() : buf_(own_) {}
+    explicit StateWriter(StateBlob &out) : buf_(out) { buf_.clear(); }
+    StateWriter(const StateWriter &) = delete;
+    StateWriter &operator=(const StateWriter &) = delete;
+
     template <typename T>
     void
     put(const T &v)
@@ -43,16 +55,17 @@ class StateWriter
     void
     putBytes(const void *p, std::size_t n)
     {
-        const std::size_t off = buf_.size();
-        buf_.resize(off + n);
-        std::memcpy(buf_.data() + off, p, n);
+        // insert() copies straight in; resize() would zero-fill first.
+        const auto *b = static_cast<const std::uint8_t *>(p);
+        buf_.insert(buf_.end(), b, b + n);
     }
 
     StateBlob take() { return std::move(buf_); }
     std::size_t size() const { return buf_.size(); }
 
   private:
-    StateBlob buf_;
+    StateBlob own_;
+    StateBlob &buf_;
 };
 
 /** Reads values back in the order they were written. */

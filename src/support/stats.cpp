@@ -229,86 +229,179 @@ Distribution::percentile(double fraction) const
     return max_;
 }
 
-StatGroup &
-StatGroup::operator=(const StatGroup &o)
+void
+StatGroup::Slot::copyValue(const Slot &o)
 {
-    name_ = o.name_;
-    counters_ = o.counters_;
-    distributions_ = o.distributions_;
-    scalars_ = o.scalars_;
-    ++generation_;
-    return *this;
+    touched = o.touched;
+    switch (kind) {
+    case Kind::Counter:
+        counter = o.counter;
+        break;
+    case Kind::Distribution:
+        dist = o.dist;
+        break;
+    case Kind::Scalar:
+        scalar = o.scalar;
+        break;
+    }
+}
+
+void
+StatGroup::Slot::clear()
+{
+    touched = false;
+    counter.reset();
+    scalar = 0.0;
+    dist.reset();
 }
 
 StatGroup &
-StatGroup::operator=(StatGroup &&o) noexcept
+StatGroup::operator=(const StatGroup &o)
 {
-    name_ = std::move(o.name_);
-    counters_ = std::move(o.counters_);
-    distributions_ = std::move(o.distributions_);
-    scalars_ = std::move(o.scalars_);
-    ++generation_;
+    if (this == &o)
+        return *this;
+    name_ = o.name_;
+    const std::size_t common = std::min(slots_.size(), o.slots_.size());
+    for (std::size_t i = 0; i < common; ++i) {
+        if (slots_[i].kind != o.slots_[i].kind ||
+            slots_[i].name != o.slots_[i].name) {
+            // The layouts diverge: slot indices change meaning.
+            slots_ = o.slots_;
+            ++generation_;
+            return *this;
+        }
+    }
+    for (std::size_t i = 0; i < common; ++i)
+        slots_[i].copyValue(o.slots_[i]);
+    for (std::size_t i = common; i < slots_.size(); ++i)
+        slots_[i].clear();
+    slots_.insert(slots_.end(), o.slots_.begin() + common, o.slots_.end());
     return *this;
+}
+
+std::uint32_t
+StatGroup::slotOf(Kind kind, std::string_view name)
+{
+    for (std::size_t i = 0; i < slots_.size(); ++i)
+        if (slots_[i].kind == kind && slots_[i].name == name)
+            return static_cast<std::uint32_t>(i);
+    Slot &s = slots_.emplace_back();
+    s.name = name;
+    s.kind = kind;
+    return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+const StatGroup::Slot *
+StatGroup::find(Kind kind, std::string_view name) const
+{
+    for (const Slot &s : slots_)
+        if (s.touched && s.kind == kind && s.name == name)
+            return &s;
+    return nullptr;
+}
+
+std::vector<const StatGroup::Slot *>
+StatGroup::listed(Kind kind) const
+{
+    std::vector<const Slot *> out;
+    for (const Slot &s : slots_)
+        if (s.touched && s.kind == kind)
+            out.push_back(&s);
+    std::sort(out.begin(), out.end(),
+              [](const Slot *a, const Slot *b) { return a->name < b->name; });
+    return out;
 }
 
 Counter &
 StatGroup::counter(const std::string &name)
 {
-    return counters_[name];
+    return touch<Counter>(slotOf(Kind::Counter, name));
 }
 
 Distribution &
 StatGroup::distribution(const std::string &name)
 {
-    return distributions_[name];
+    return touch<Distribution>(slotOf(Kind::Distribution, name));
 }
 
 void
 StatGroup::setScalar(const std::string &name, double value)
 {
-    scalars_[name] = value;
+    Slot &s = slots_[slotOf(Kind::Scalar, name)];
+    s.touched = true;
+    s.scalar = value;
 }
 
 bool
 StatGroup::hasCounter(const std::string &name) const
 {
-    return counters_.count(name) != 0;
+    return find(Kind::Counter, name) != nullptr;
 }
 
 std::uint64_t
 StatGroup::counterValue(const std::string &name) const
 {
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
+    const Slot *s = find(Kind::Counter, name);
+    return s == nullptr ? 0 : s->counter.value();
 }
 
 double
 StatGroup::scalarValue(const std::string &name) const
 {
-    auto it = scalars_.find(name);
-    return it == scalars_.end() ? 0.0 : it->second;
+    const Slot *s = find(Kind::Scalar, name);
+    return s == nullptr ? 0.0 : s->scalar;
+}
+
+std::map<std::string, Counter>
+StatGroup::counters() const
+{
+    std::map<std::string, Counter> out;
+    for (const Slot *s : listed(Kind::Counter))
+        out.emplace(s->name, s->counter);
+    return out;
+}
+
+std::map<std::string, Distribution>
+StatGroup::distributions() const
+{
+    std::map<std::string, Distribution> out;
+    for (const Slot *s : listed(Kind::Distribution))
+        out.emplace(s->name, s->dist);
+    return out;
+}
+
+std::map<std::string, double>
+StatGroup::scalars() const
+{
+    std::map<std::string, double> out;
+    for (const Slot *s : listed(Kind::Scalar))
+        out.emplace(s->name, s->scalar);
+    return out;
 }
 
 void
 StatGroup::resetAll()
 {
-    for (auto &kv : counters_)
-        kv.second.reset();
-    for (auto &kv : distributions_)
-        kv.second.reset();
-    scalars_.clear();
+    for (Slot &s : slots_) {
+        if (s.kind == Kind::Scalar) {
+            s.clear(); // dropped from the listing
+        } else {
+            s.counter.reset();
+            s.dist.reset();
+        }
+    }
 }
 
 void
 StatGroup::dump(std::ostream &os) const
 {
-    for (const auto &kv : counters_)
-        os << name_ << '.' << kv.first << "  " << kv.second.value() << '\n';
-    for (const auto &kv : scalars_)
-        os << name_ << '.' << kv.first << "  " << kv.second << '\n';
-    for (const auto &kv : distributions_) {
-        const auto &d = kv.second;
-        os << name_ << '.' << kv.first << "  n=" << d.count()
+    for (const Slot *s : listed(Kind::Counter))
+        os << name_ << '.' << s->name << "  " << s->counter.value() << '\n';
+    for (const Slot *s : listed(Kind::Scalar))
+        os << name_ << '.' << s->name << "  " << s->scalar << '\n';
+    for (const Slot *s : listed(Kind::Distribution)) {
+        const Distribution &d = s->dist;
+        os << name_ << '.' << s->name << "  n=" << d.count()
            << " mean=" << d.mean() << " min=" << d.min()
            << " max=" << d.max() << " sd=" << d.stddev()
            << " p50=" << d.p50() << " p95=" << d.p95()

@@ -14,6 +14,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -138,20 +139,33 @@ class Distribution
 /**
  * A named bag of statistics owned by a component. Components bump
  * their counters/distributions through StatHandles; the group formats
- * them on dump() and exposes them for programmatic lookup. A stat
- * exists from its first use on, so reports list only touched stats.
+ * them on dump() and exposes them for programmatic lookup.
+ *
+ * Storage is flat: one vector of named slots, each appended on a
+ * name's first use and never removed or reordered, so a handle can keep
+ * its slot's index. A slot is listed only once it was touched (bumped,
+ * sampled, set or fetched by name), so reports list only touched stats,
+ * in name order whatever the touch order.
  */
 class StatGroup
 {
   public:
+    /** What a slot holds. */
+    enum class Kind : std::uint8_t { Counter, Distribution, Scalar };
+
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
     StatGroup(const StatGroup &) = default;
     StatGroup(StatGroup &&) = default;
-    /** Assignment replaces the maps (a snapshot restore does this), so
-     *  it bumps generation() and every handle into the group looks its
-     *  stat up again. */
+    /**
+     * Copy @p o's stats into this group. When the two slot lists agree
+     * on their common prefix (every restore of a snapshot of the same
+     * group does), values are copied in place, this group's later slots
+     * are reset to untouched and @p o's later slots are appended:
+     * every slot keeps its index, nothing is freed and generation()
+     * stays. Otherwise the slot list is replaced and generation()
+     * moves, so every handle looks its stat up again.
+     */
     StatGroup &operator=(const StatGroup &o);
-    StatGroup &operator=(StatGroup &&o) noexcept;
 
     Counter &counter(const std::string &name);
     Distribution &distribution(const std::string &name);
@@ -165,47 +179,73 @@ class StatGroup
 
     const std::string &name() const { return name_; }
 
-    // Read-only iteration for exporters (JSON run reports).
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Distribution> &distributions() const
-    {
-        return distributions_;
-    }
-    const std::map<std::string, double> &scalars() const
-    {
-        return scalars_;
-    }
+    // Name-ordered listings of the touched stats of one kind, built on
+    // each call for exporters (JSON run reports) and tests.
+    std::map<std::string, Counter> counters() const;
+    std::map<std::string, Distribution> distributions() const;
+    std::map<std::string, double> scalars() const;
 
-    /** Zero every statistic in the group. */
+    /** Zero every statistic. Counters and distributions stay listed;
+     *  scalars are dropped. */
     void resetAll();
 
     /** Human-readable listing (one stat per line, gem5-style). */
     void dump(std::ostream &os) const;
 
-    /** Changes whenever an assignment may have freed or reused the
-     *  map nodes a handle points at (never 0). */
+    /** Changes whenever an assignment may have moved a name to another
+     *  slot index (never 0). */
     std::uint64_t generation() const { return generation_; }
 
+    /** Index of the slot for (@p kind, @p name), appended untouched if
+     *  there is none yet (StatHandle's lookup). */
+    std::uint32_t slotOf(Kind kind, std::string_view name);
+
+    /** Mark slot @p i touched and return its stat. */
+    template <typename Stat>
+    Stat &
+    touch(std::uint32_t i)
+    {
+        Slot &s = slots_[i];
+        s.touched = true;
+        if constexpr (std::is_same_v<Stat, Counter>)
+            return s.counter;
+        else
+            return s.dist;
+    }
+
   private:
+    struct Slot {
+        std::string name;
+        Kind kind = Kind::Counter;
+        bool touched = false;
+        Counter counter;
+        double scalar = 0.0;
+        Distribution dist;
+
+        /** Copy @p o's value and touched flag (same name and kind). */
+        void copyValue(const Slot &o);
+        /** Back to untouched and zero. */
+        void clear();
+    };
+
+    /** The touched slot for (@p kind, @p name), or null. */
+    const Slot *find(Kind kind, std::string_view name) const;
+    /** The touched slots of @p kind, in name order. */
+    std::vector<const Slot *> listed(Kind kind) const;
+
     std::string name_;
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> distributions_;
-    std::map<std::string, double> scalars_;
+    std::vector<Slot> slots_;
     std::uint64_t generation_ = 1;
 };
 
 /**
  * One named counter or distribution of a StatGroup, for the paths that
- * bump it per operation. The string-keyed lookup runs on the first
- * bump, so a stat that is never touched never appears in the group,
- * and again after the group was assigned over: map assignment reuses
- * nodes across keys, so a cached reference could otherwise land on
- * another stat after a snapshot restore. Every other bump is a compare
- * and an add. Handles are members of the group's owner and point into
- * it, so they are neither copied nor moved.
+ * bump it per operation. The slot lookup runs on the first bump, so a
+ * stat that is never touched never appears in the group's listings,
+ * and again after an assignment moved the group's generation. Every
+ * other bump is a compare, a flag store and an add. Handles are
+ * members of the group's owner and point into it, so they are neither
+ * copied nor moved.
  */
 template <typename Stat>
 class StatHandle
@@ -225,13 +265,13 @@ class StatHandle
     get()
     {
         if (gen_ != group_->generation()) {
-            if constexpr (std::is_same_v<Stat, Counter>)
-                stat_ = &group_->counter(name_);
-            else
-                stat_ = &group_->distribution(name_);
+            slot_ = group_->slotOf(std::is_same_v<Stat, Counter>
+                                       ? StatGroup::Kind::Counter
+                                       : StatGroup::Kind::Distribution,
+                                   name_);
             gen_ = group_->generation();
         }
-        return *stat_;
+        return group_->touch<Stat>(slot_);
     }
 
     StatHandle &operator++() { ++get(); return *this; }
@@ -241,8 +281,8 @@ class StatHandle
   private:
     StatGroup *group_;
     const char *name_;
-    Stat *stat_ = nullptr;
-    std::uint64_t gen_ = 0; ///< group generation stat_ was resolved at
+    std::uint32_t slot_ = 0;
+    std::uint64_t gen_ = 0; ///< group generation slot_ was resolved at
 };
 
 using CounterHandle = StatHandle<Counter>;

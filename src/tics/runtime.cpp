@@ -250,13 +250,16 @@ TicsRuntime::triggerPoint()
     // Deliver pending interrupts: consume the pending bit first, run
     // the handler with automatic checkpoints disabled, then place the
     // implicit return-from-interrupt checkpoint (paper Section 4).
+    // The handler is held by a member, not a local: a power failure
+    // inside it abandons this frame without running destructors, and a
+    // local would leak the handler's heap state.
     while (!pendingIsrs_.empty() && !inIsr_) {
-        auto isr = std::move(pendingIsrs_.front());
+        runningIsr_ = std::move(pendingIsrs_.front());
         pendingIsrs_.erase(pendingIsrs_.begin());
         inIsr_ = true;
         beginAtomic();
         b.charge(26); // interrupt entry/exit latency
-        isr();
+        runningIsr_();
         endAtomic(/*checkpoint=*/true);
         inIsr_ = false;
         ++isrServiced_;

@@ -167,6 +167,7 @@ class TicsRuntime : public board::Runtime, private mem::MemHooks
     /** Volatile pending-interrupt "register" (host state; a reboot
      *  clears it, like a real pending bit on power loss). */
     std::vector<std::function<void()>> pendingIsrs_;
+    std::function<void()> runningIsr_; ///< the handler being serviced
     bool inIsr_ = false;
     std::uint64_t isrServiced_ = 0;
     std::uint64_t isrLost_ = 0;

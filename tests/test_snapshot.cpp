@@ -9,11 +9,17 @@
  * parity (same minimal plans as the from-boot shrinker, fewer
  * simulated cycles), and the explorer's bound replay reference against
  * capture-and-diff on real arenas — after from-boot fault plans and
- * after restores on one board.
+ * after restores on one board. Also: a capture into a reused Snapshot
+ * forks exactly like one into a fresh Snapshot, a steady-state capture
+ * and restore allocate nothing, and a restore rolls the supply's
+ * statistics back.
  */
 
+#include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <new>
+#include <sstream>
 #include <thread>
 
 #include "analysis/replay_oracle.hpp"
@@ -23,6 +29,7 @@
 #include "fault/campaign.hpp"
 #include "fault/explore.hpp"
 #include "fault/injector.hpp"
+#include "harness/experiment.hpp"
 #include "mem/journal.hpp"
 #include "mem/trace.hpp"
 #include "replay_reference.hpp"
@@ -30,6 +37,50 @@
 #include "timekeeper/timekeeper.hpp"
 
 using namespace ticsim;
+
+namespace {
+
+/** Heap allocations on this thread while an AllocationCount lives. */
+constinit thread_local bool tCountAllocs = false;
+constinit thread_local std::uint64_t tAllocs = 0;
+
+/** Counts the calling thread's heap allocations over its lifetime. */
+class AllocationCount
+{
+  public:
+    AllocationCount() { tAllocs = 0; tCountAllocs = true; }
+    ~AllocationCount() { tCountAllocs = false; }
+    AllocationCount(const AllocationCount &) = delete;
+    AllocationCount &operator=(const AllocationCount &) = delete;
+    std::uint64_t allocations() const { return tAllocs; }
+};
+
+} // namespace
+
+// The replaceable global allocation functions, counting for
+// AllocationCount; everywhere else a plain malloc/free. Array and
+// nothrow forms forward to these.
+void *
+operator new(std::size_t n)
+{
+    if (tCountAllocs)
+        ++tAllocs;
+    if (void *p = std::malloc(n != 0 ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 
@@ -215,6 +266,100 @@ class SnapEveryEvent : public mem::AccessSink
     std::vector<board::Snapshot> snaps_;
 };
 
+/** Every listed stat of @p g; distributions bit-exact via encode(). */
+std::string
+statsText(const StatGroup &g)
+{
+    std::ostringstream os;
+    os << g.name() << '\n';
+    for (const auto &[name, c] : g.counters())
+        os << name << ' ' << c.value() << '\n';
+    for (const auto &[name, v] : g.scalars())
+        os << name << ' ' << v << '\n';
+    for (const auto &[name, d] : g.distributions())
+        os << name << ' ' << d.encode() << '\n';
+    return os.str();
+}
+
+/** Total events the injector counts over @p ref's run (its decision
+ *  points). */
+std::uint64_t
+countedEvents(const fault::PairRunOutcome &ref)
+{
+    std::uint64_t n = 0;
+    for (const std::uint64_t c : ref.census.boundary)
+        n += c;
+    for (const std::uint64_t c : ref.census.stores)
+        n += c;
+    return n;
+}
+
+/** A full (fiber) capture at the 2nd in-context event of @p spec's
+ *  failure-free run: a Snapshot holding another pair's state. */
+board::Snapshot
+fiberCaptureOf(const fault::CampaignConfig &cfg, const fault::PairSpec &spec)
+{
+    board::BoardConfig bcfg;
+    bcfg.seed = cfg.seed;
+    board::Board board(bcfg, std::make_unique<energy::ContinuousSupply>(),
+                       std::make_unique<timekeeper::PerfectTimekeeper>());
+    SnapAtEvent sink(board, 2);
+    mem::ScopedSink as(&sink);
+    harness::ScenarioInstance env = spec.make(board);
+    mem::WriteJournal journal;
+    mem::ScopedWriteJournal sj(&journal);
+    board.beginRun(*env.runtime, env.entry, cfg.budget);
+    board.continueRun();
+    EXPECT_TRUE(sink.captured());
+    return sink.snap();
+}
+
+/** What a forked leaf left behind, as the explorer judges it. */
+struct Leaf {
+    RunTrace run;
+    analysis::ReplayReport bound;
+    std::string runtimeStats;
+    std::string supplyStats;
+};
+
+/**
+ * One pair on a FaultedBoard under the empty-plan injector, as an
+ * explorer shard records it: the hook sees every counted event.
+ */
+struct ForkRig {
+    ForkRig(const fault::CampaignConfig &cfg, const fault::PairSpec &spec)
+        : fb(cfg, noFaults), inj(fb.board, fb.supply, noFaults),
+          as(&inj), env(spec.make(fb.board)), sj(&journal)
+    {
+    }
+
+    /** The explorer's branch: restore @p s, reseed the injector with
+     *  @p st, die there and run to the leaf. */
+    Leaf
+    forkLeaf(const board::Snapshot &s, const fault::InjectorState &st,
+             const analysis::BoundReference &bound)
+    {
+        fb.board.restore(s);
+        inj.setState(st);
+        fb.supply.noteForcedDeath();
+        fb.board.markInjectedDeath();
+        Leaf l;
+        l.run = traceOf(fb.board, env, fb.board.continueRun());
+        l.bound = bound.diff();
+        l.runtimeStats = statsText(fb.board.runtime()->stats());
+        l.supplyStats = statsText(fb.board.supply().stats());
+        return l;
+    }
+
+    const fault::FaultPlan noFaults;
+    fault::FaultedBoard fb;
+    fault::FaultInjector inj;
+    mem::ScopedSink as;
+    harness::ScenarioInstance env;
+    mem::WriteJournal journal;
+    mem::ScopedWriteJournal sj;
+};
+
 } // namespace
 
 // ---- snapshot / restore round-trips ----------------------------------------
@@ -366,6 +511,180 @@ TEST(StatHandle, RestoreKeepsEveryHandleOnItsKey)
         for (const auto &[name, d] : first.distributions())
             EXPECT_EQ(again.distributions().at(name).encode(), d.encode())
                 << name;
+    }
+}
+
+TEST(SnapshotRoundTrip, RestoreRollsTheSupplyStatsBack)
+{
+    // The supply's group (deaths, off times, injected cuts) is part of
+    // the rolled-back state: a run restored to a mid-run snapshot ends
+    // with the recording run's supply stats, not the sum of both.
+    fault::CampaignConfig cfg = smallConfig();
+    cfg.bc.iterations = 1000; // long enough for RF brown-outs
+    const fault::PairSpec spec = findPair(cfg, "BC", "TICS");
+    const fault::PairRunOutcome ref =
+        fault::runPairWithPlan(cfg, spec, fault::FaultPlan{});
+    ASSERT_TRUE(ref.res.completed);
+    for (const bool rf : {true, false}) {
+        SCOPED_TRACE(rf ? "rf" : "faulted");
+        board::BoardConfig bcfg;
+        bcfg.seed = cfg.seed;
+        std::unique_ptr<energy::Supply> supply;
+        if (rf) {
+            harness::SupplySpec rfSpec;
+            rfSpec.setup = harness::PowerSetup::RfHarvested;
+            rfSpec.seed = cfg.seed;
+            supply = harness::makeSupply(rfSpec);
+        } else {
+            // Two injected cuts in the second half of the run.
+            auto faulted = std::make_unique<fault::FaultedSupply>(
+                std::make_unique<energy::ContinuousSupply>(), cfg.offNs);
+            faulted->scheduleAbsolute(
+                {ref.res.elapsed / 2, ref.res.elapsed * 3 / 4});
+            supply = std::move(faulted);
+        }
+        board::Board board(bcfg, std::move(supply),
+                           std::make_unique<timekeeper::PerfectTimekeeper>());
+        SnapAtEvent sink(board, 2);
+        mem::ScopedSink as(&sink);
+        harness::ScenarioInstance env = spec.make(board);
+        mem::WriteJournal journal;
+        mem::ScopedWriteJournal sj(&journal);
+
+        board.beginRun(*env.runtime, env.entry, cfg.budget);
+        const RunTrace first = traceOf(board, env, board.continueRun());
+        ASSERT_TRUE(sink.captured());
+        const std::string recorded = statsText(board.supply().stats());
+        EXPECT_NE(statsText(sink.snap().supplyStats), recorded)
+            << "no supply stat moved after the snapshot";
+        EXPECT_GT(first.res.reboots, 0u);
+
+        board.restore(sink.snap());
+        const RunTrace second = traceOf(board, env, board.continueRun());
+        expectSameRun(first, second, "restored");
+        EXPECT_EQ(statsText(board.supply().stats()), recorded);
+    }
+}
+
+TEST(ForkReuse, ReusedSnapshotReachesTheFreshLeafOnEveryPair)
+{
+    // The explorer records into the same Decision again and again. A
+    // capture into a Snapshot that held another pair's state (at first
+    // a fiber capture) must fork exactly like one into a fresh Snapshot.
+    const fault::CampaignConfig cfg = smallConfig();
+    board::Snapshot reused =
+        fiberCaptureOf(cfg, findPair(cfg, "Cuckoo", "TICS"));
+    ASSERT_TRUE(reused.hasFiber);
+    for (const fault::PairSpec &spec : fault::campaignPairs(cfg)) {
+        const std::string pair = spec.app + "/" + spec.runtime;
+        SCOPED_TRACE(pair);
+        const fault::PairRunOutcome ref =
+            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{});
+        ASSERT_TRUE(ref.res.completed);
+        const std::uint64_t mid = std::max<std::uint64_t>(
+            1, countedEvents(ref) / 2);
+
+        ForkRig rig(cfg, spec);
+        board::Snapshot fresh;
+        fault::InjectorState state;
+        std::uint64_t seen = 0;
+        rig.inj.setHook([&](const fault::CountedEvent &) {
+            if (++seen != mid)
+                return;
+            rig.fb.board.snapshot(fresh);
+            rig.fb.board.snapshot(reused);
+            state = rig.inj.state();
+        });
+        rig.fb.board.beginRun(*rig.env.runtime, rig.env.entry, cfg.budget);
+        const analysis::BoundReference bound = analysis::ReplayOracle::bind(
+            ref.snap, rig.fb.board.nvram(),
+            analysis::ReplayOracle::appStateFilter());
+        ASSERT_TRUE(rig.fb.board.continueRun().completed);
+        rig.inj.setHook(nullptr);
+        ASSERT_GE(seen, mid);
+        EXPECT_FALSE(reused.hasFiber);
+        EXPECT_TRUE(reused.fiber.bytes.empty());
+
+        const Leaf a = rig.forkLeaf(fresh, state, bound);
+        const Leaf b = rig.forkLeaf(reused, state, bound);
+        expectSameRun(a.run, b.run, "reused vs fresh");
+        testref::expectSameReport(a.bound, b.bound, pair + ": bound");
+        EXPECT_EQ(a.runtimeStats, b.runtimeStats);
+        EXPECT_EQ(a.supplyStats, b.supplyStats);
+    }
+}
+
+TEST(ForkReuse, CaptureWithoutARuntimeOverwritesEveryField)
+{
+    // Every field is written on every capture, the runtime's blob and
+    // group included when no runtime is attached.
+    const fault::CampaignConfig cfg = smallConfig();
+    board::Snapshot reused = fiberCaptureOf(cfg, findPair(cfg, "BC", "TICS"));
+    ASSERT_FALSE(reused.runtime.empty());
+    ASSERT_FALSE(reused.runtimeStats.counters().empty());
+
+    board::Board idle(board::BoardConfig{},
+                      std::make_unique<energy::ContinuousSupply>(),
+                      std::make_unique<timekeeper::PerfectTimekeeper>());
+    board::Snapshot fresh;
+    idle.snapshot(fresh);
+    idle.snapshot(reused);
+    EXPECT_EQ(reused.runtime, fresh.runtime);
+    EXPECT_EQ(statsText(reused.runtimeStats), statsText(fresh.runtimeStats));
+    EXPECT_EQ(reused.supply, fresh.supply);
+    EXPECT_EQ(statsText(reused.supplyStats), statsText(fresh.supplyStats));
+    EXPECT_EQ(reused.timekeeper, fresh.timekeeper);
+    EXPECT_EQ(reused.sensors, fresh.sensors);
+    EXPECT_EQ(reused.now, fresh.now);
+    EXPECT_EQ(reused.phase, fresh.phase);
+    EXPECT_EQ(reused.journalMark, fresh.journalMark);
+    EXPECT_FALSE(reused.hasFiber);
+    EXPECT_EQ(reused.fiber.low, 0u);
+    EXPECT_TRUE(reused.fiber.bytes.empty());
+}
+
+TEST(ForkReuse, SteadyStateCaptureAndRestoreAllocateNothing)
+{
+    // Once a Snapshot has grown to a board's state, capturing into it
+    // again and restoring from it are plain copies.
+    const fault::CampaignConfig cfg = smallConfig();
+    for (const fault::PairSpec &spec : fault::campaignPairs(cfg)) {
+        SCOPED_TRACE(spec.app + "/" + spec.runtime);
+        const fault::PairRunOutcome ref =
+            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{});
+        const std::uint64_t mid = std::max<std::uint64_t>(
+            1, countedEvents(ref) / 2);
+
+        ForkRig rig(cfg, spec);
+        board::Snapshot snap;
+        fault::InjectorState state;
+        std::uint64_t seen = 0;
+        std::uint64_t captureAllocs = ~std::uint64_t{0};
+        rig.inj.setHook([&](const fault::CountedEvent &) {
+            if (++seen != mid)
+                return;
+            rig.fb.board.snapshot(snap);
+            AllocationCount count;
+            rig.fb.board.snapshot(snap);
+            captureAllocs = count.allocations();
+            state = rig.inj.state();
+        });
+        rig.fb.board.beginRun(*rig.env.runtime, rig.env.entry, cfg.budget);
+        ASSERT_TRUE(rig.fb.board.continueRun().completed);
+        rig.inj.setHook(nullptr);
+        EXPECT_EQ(captureAllocs, 0u);
+
+        std::uint64_t restoreAllocs = 0;
+        {
+            AllocationCount count;
+            rig.fb.board.restore(snap);
+            restoreAllocs = count.allocations();
+        }
+        EXPECT_EQ(restoreAllocs, 0u);
+        rig.inj.setState(state);
+        rig.fb.supply.noteForcedDeath();
+        rig.fb.board.markInjectedDeath();
+        rig.fb.board.continueRun();
     }
 }
 

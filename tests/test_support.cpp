@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "harness/effort.hpp"
 #include "support/rng.hpp"
@@ -222,6 +224,124 @@ TEST(StatGroup, DumpContainsNames)
     const auto s = os.str();
     EXPECT_NE(s.find("device.events"), std::string::npos);
     EXPECT_NE(s.find("device.lat"), std::string::npos);
+}
+
+TEST(StatGroup, PrefixAssignmentKeepsGenerationAndSlots)
+{
+    StatGroup g("grp");
+    CounterHandle a(g, "a");
+    DistributionHandle lat(g, "lat");
+    CounterHandle later(g, "later");
+    ++a;
+    lat.sample(2.0);
+    const StatGroup snap = g; // slots a, lat: a prefix of g's below
+    ++later;
+    ++a;
+    using K = StatGroup::Kind;
+    const std::uint32_t slotA = g.slotOf(K::Counter, "a");
+    const std::uint32_t slotLat = g.slotOf(K::Distribution, "lat");
+    const std::uint32_t slotLater = g.slotOf(K::Counter, "later");
+    const std::uint64_t gen = g.generation();
+
+    g = snap;
+    EXPECT_EQ(g.generation(), gen);
+    EXPECT_EQ(g.slotOf(K::Counter, "a"), slotA);
+    EXPECT_EQ(g.slotOf(K::Distribution, "lat"), slotLat);
+    EXPECT_EQ(g.slotOf(K::Counter, "later"), slotLater);
+    ++a;
+    ++later;
+    lat.sample(4.0);
+    EXPECT_EQ(g.counterValue("a"), 2u);
+    EXPECT_EQ(g.counterValue("later"), 1u);
+    EXPECT_EQ(g.distributions().at("lat").count(), 2u);
+
+    // Layouts that diverge move the generation; handles look up again.
+    StatGroup other("grp");
+    ++other.counter("b");
+    ++other.counter("a");
+    g = other;
+    EXPECT_NE(g.generation(), gen);
+    ++a;
+    EXPECT_EQ(g.counterValue("a"), 2u);
+    EXPECT_EQ(g.counterValue("b"), 1u);
+    EXPECT_FALSE(g.hasCounter("later"));
+}
+
+TEST(StatGroup, StatTouchedAfterASnapshotIsUnlistedAfterTheRestore)
+{
+    StatGroup g("grp");
+    CounterHandle early(g, "early");
+    CounterHandle late(g, "late");
+    DistributionHandle lat(g, "lat");
+    ++early;
+    const StatGroup snap = g;
+    late += 3;
+    lat.sample(1.0);
+    g.setScalar("x", 1.0);
+    ASSERT_TRUE(g.hasCounter("late"));
+
+    g = snap;
+    EXPECT_FALSE(g.hasCounter("late"));
+    EXPECT_EQ(g.counterValue("late"), 0u);
+    EXPECT_EQ(g.counters().size(), 1u);
+    EXPECT_TRUE(g.distributions().empty());
+    EXPECT_TRUE(g.scalars().empty());
+    std::ostringstream os;
+    g.dump(os);
+    EXPECT_EQ(os.str(), "grp.early  1\n");
+
+    // The next bump lists it again, counting from zero.
+    ++late;
+    lat.sample(5.0);
+    EXPECT_EQ(g.counterValue("late"), 1u);
+    ASSERT_EQ(g.distributions().size(), 1u);
+    EXPECT_EQ(g.distributions().at("lat").count(), 1u);
+    EXPECT_DOUBLE_EQ(g.distributions().at("lat").min(), 5.0);
+}
+
+TEST(StatGroup, ListsByNameWhateverTheTouchOrder)
+{
+    StatGroup g("grp");
+    ++g.counter("zeta");
+    ++g.counter("alpha");
+    g.distribution("z").sample(1.0);
+    ++g.counter("mid");
+    g.setScalar("s2", 2.0);
+    g.distribution("a").sample(1.0);
+    g.setScalar("s1", 1.0);
+    std::vector<std::string> names;
+    for (const auto &[name, c] : g.counters())
+        names.push_back(name);
+    for (const auto &[name, v] : g.scalars())
+        names.push_back(name);
+    for (const auto &[name, d] : g.distributions())
+        names.push_back(name);
+    EXPECT_EQ(names, (std::vector<std::string>{"alpha", "mid", "zeta", "s1",
+                                               "s2", "a", "z"}));
+    std::ostringstream os;
+    g.dump(os);
+    const std::string d = os.str();
+    EXPECT_LT(d.find("grp.alpha"), d.find("grp.mid"));
+    EXPECT_LT(d.find("grp.mid"), d.find("grp.zeta"));
+    EXPECT_LT(d.find("grp.zeta"), d.find("grp.s1"));
+    EXPECT_LT(d.find("grp.s1"), d.find("grp.s2"));
+    EXPECT_LT(d.find("grp.s2"), d.find("grp.a "));
+    EXPECT_LT(d.find("grp.a "), d.find("grp.z "));
+}
+
+TEST(StatGroup, ResetAllKeepsCountersAndDistributionsListed)
+{
+    StatGroup g("grp");
+    g.counter("c") += 3;
+    g.distribution("d").sample(2.0);
+    g.setScalar("s", 1.5);
+    g.resetAll();
+    EXPECT_TRUE(g.hasCounter("c"));
+    EXPECT_EQ(g.counterValue("c"), 0u);
+    ASSERT_EQ(g.distributions().size(), 1u);
+    EXPECT_EQ(g.distributions().at("d").count(), 0u);
+    EXPECT_TRUE(g.scalars().empty());
+    EXPECT_DOUBLE_EQ(g.scalarValue("s"), 0.0);
 }
 
 TEST(Table, AlignsAndSeparates)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Byte-identity battery: run every tool whose output pins the modeled
-# behaviour and write one file per output into OUT_DIR, so two builds
-# can be compared with `diff -r OUT_A OUT_B`.
+# behaviour, the paper's tables and figures included (tools/paper.sh),
+# and write one file per output into OUT_DIR, so two builds can be
+# compared with `diff -r OUT_A OUT_B`.
 #
 #   tools/battery.sh BUILD_DIR OUT_DIR
 #
@@ -42,6 +43,8 @@ mkdir -p "$out"
 
 # Likewise for the explorer, once the tool ticsmc.
 "$bin/ticsfault" --explore --max-faults 2 > "$out/ticsmc.depth2.txt"
+
+"$(dirname "$0")/paper.sh" "$1" > "$out/paper.txt"
 
 grid=(--apps AR,BC,CF
       --runtimes TICS,MementOS-like,Chinchilla-like,Alpaca-like,plain-C
