@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "support/logging.hpp"
@@ -29,16 +28,14 @@ namespace ticsim {
 using StateBlob = std::vector<std::uint8_t>;
 
 /**
- * Appends trivially-copyable values to a blob: a buffer of its own,
- * handed out by take(), or a caller's blob, which it overwrites in
- * place. The latter keeps the blob's capacity, so a snapshot captured
- * again and again into the same storage stops allocating once its
- * blobs have grown to size.
+ * Appends trivially-copyable values to a caller's blob, which it
+ * overwrites in place. The blob keeps its capacity, so a snapshot
+ * captured again and again into the same storage stops allocating once
+ * its blobs have grown to size.
  */
 class StateWriter
 {
   public:
-    StateWriter() : buf_(own_) {}
     explicit StateWriter(StateBlob &out) : buf_(out) { buf_.clear(); }
     StateWriter(const StateWriter &) = delete;
     StateWriter &operator=(const StateWriter &) = delete;
@@ -60,11 +57,9 @@ class StateWriter
         buf_.insert(buf_.end(), b, b + n);
     }
 
-    StateBlob take() { return std::move(buf_); }
     std::size_t size() const { return buf_.size(); }
 
   private:
-    StateBlob own_;
     StateBlob &buf_;
 };
 

@@ -150,9 +150,6 @@ class Distribution
 class StatGroup
 {
   public:
-    /** What a slot holds. */
-    enum class Kind : std::uint8_t { Counter, Distribution, Scalar };
-
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
     StatGroup(const StatGroup &) = default;
     StatGroup(StatGroup &&) = default;
@@ -196,6 +193,26 @@ class StatGroup
      *  slot index (never 0). */
     std::uint64_t generation() const { return generation_; }
 
+  private:
+    template <typename> friend class StatHandle;
+
+    /** What a slot holds. */
+    enum class Kind : std::uint8_t { Counter, Distribution, Scalar };
+
+    struct Slot {
+        std::string name;
+        Kind kind = Kind::Counter;
+        bool touched = false;
+        Counter counter;
+        double scalar = 0.0;
+        Distribution dist;
+
+        /** Copy @p o's value and touched flag (same name and kind). */
+        void copyValue(const Slot &o);
+        /** Back to untouched and zero. */
+        void clear();
+    };
+
     /** Index of the slot for (@p kind, @p name), appended untouched if
      *  there is none yet (StatHandle's lookup). */
     std::uint32_t slotOf(Kind kind, std::string_view name);
@@ -212,21 +229,6 @@ class StatGroup
         else
             return s.dist;
     }
-
-  private:
-    struct Slot {
-        std::string name;
-        Kind kind = Kind::Counter;
-        bool touched = false;
-        Counter counter;
-        double scalar = 0.0;
-        Distribution dist;
-
-        /** Copy @p o's value and touched flag (same name and kind). */
-        void copyValue(const Slot &o);
-        /** Back to untouched and zero. */
-        void clear();
-    };
 
     /** The touched slot for (@p kind, @p name), or null. */
     const Slot *find(Kind kind, std::string_view name) const;

@@ -139,9 +139,10 @@ namespace {
 StateBlob
 blobOf(const energy::Supply &s)
 {
-    StateWriter w;
+    StateBlob blob;
+    StateWriter w(blob);
     s.saveState(w);
-    return w.take();
+    return blob;
 }
 
 std::string
@@ -268,9 +269,8 @@ TEST(SupplyHorizon, FaultedHorizonCoversCutsArmsAndRestores)
                 EXPECT_EQ(s.safeUntil(), 0u);
             }
         } else if (rng.chance(0.03)) {
-            StateWriter w;
+            StateWriter w(saved);
             s.saveState(w);
-            saved = w.take();
             savedAt = now;
         } else if (!saved.empty() && rng.chance(0.02)) {
             // Rewind, as Board::restore does.
@@ -486,9 +486,8 @@ TEST(EpochSet, MatchesUnorderedMapThroughGrowthAndRestores)
             set.clear();
             ref.clear();
         } else if (op < 0.96 || growing) {
-            StateWriter w;
+            StateWriter w(saved);
             set.saveState(w);
-            saved = w.take();
             savedRef = ref;
         } else if (!saved.empty()) {
             StateReader r(saved);

@@ -10,15 +10,14 @@
  * simulated cycles), and the explorer's bound replay reference against
  * capture-and-diff on real arenas — after from-boot fault plans and
  * after restores on one board. Also: a capture into a reused Snapshot
- * forks exactly like one into a fresh Snapshot, a steady-state capture
- * and restore allocate nothing, and a restore rolls the supply's
- * statistics back.
+ * forks exactly like one into a fresh Snapshot, and a restore rolls the
+ * supply's statistics back. That a steady-state capture and restore
+ * allocate nothing is checked in alloc/test_fork_alloc.cpp, which
+ * replaces the global allocation functions in a binary of its own.
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <gtest/gtest.h>
-#include <new>
 #include <sstream>
 #include <thread>
 
@@ -29,6 +28,7 @@
 #include "fault/campaign.hpp"
 #include "fault/explore.hpp"
 #include "fault/injector.hpp"
+#include "fork_rig.hpp"
 #include "harness/experiment.hpp"
 #include "mem/journal.hpp"
 #include "mem/trace.hpp"
@@ -40,61 +40,8 @@ using namespace ticsim;
 
 namespace {
 
-/** Heap allocations on this thread while an AllocationCount lives. */
-constinit thread_local bool tCountAllocs = false;
-constinit thread_local std::uint64_t tAllocs = 0;
-
-/** Counts the calling thread's heap allocations over its lifetime. */
-class AllocationCount
-{
-  public:
-    AllocationCount() { tAllocs = 0; tCountAllocs = true; }
-    ~AllocationCount() { tCountAllocs = false; }
-    AllocationCount(const AllocationCount &) = delete;
-    AllocationCount &operator=(const AllocationCount &) = delete;
-    std::uint64_t allocations() const { return tAllocs; }
-};
-
-} // namespace
-
-// The replaceable global allocation functions, counting for
-// AllocationCount; everywhere else a plain malloc/free. Array and
-// nothrow forms forward to these.
-void *
-operator new(std::size_t n)
-{
-    if (tCountAllocs)
-        ++tAllocs;
-    if (void *p = std::malloc(n != 0 ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-namespace {
-
-/** Explorer-scale workloads: small enough that every pair's recording
- *  stays in the hundreds of decision points. */
-fault::CampaignConfig
-smallConfig()
-{
-    fault::CampaignConfig cfg;
-    cfg.bc.iterations = 2;
-    cfg.cuckoo.workScale = 1.0;
-    cfg.cuckoo.keys = 8;
-    return cfg;
-}
+using testfork::countedEvents;
+using testfork::smallConfig;
 
 fault::PairSpec
 findPair(const fault::PairConfig &cfg, const std::string &app,
@@ -281,19 +228,6 @@ statsText(const StatGroup &g)
     return os.str();
 }
 
-/** Total events the injector counts over @p ref's run (its decision
- *  points). */
-std::uint64_t
-countedEvents(const fault::PairRunOutcome &ref)
-{
-    std::uint64_t n = 0;
-    for (const std::uint64_t c : ref.census.boundary)
-        n += c;
-    for (const std::uint64_t c : ref.census.stores)
-        n += c;
-    return n;
-}
-
 /** A full (fiber) capture at the 2nd in-context event of @p spec's
  *  failure-free run: a Snapshot holding another pair's state. */
 board::Snapshot
@@ -322,16 +256,9 @@ struct Leaf {
     std::string supplyStats;
 };
 
-/**
- * One pair on a FaultedBoard under the empty-plan injector, as an
- * explorer shard records it: the hook sees every counted event.
- */
-struct ForkRig {
-    ForkRig(const fault::CampaignConfig &cfg, const fault::PairSpec &spec)
-        : fb(cfg, noFaults), inj(fb.board, fb.supply, noFaults),
-          as(&inj), env(spec.make(fb.board)), sj(&journal)
-    {
-    }
+/** The explorer's recording set-up, and its branch to a leaf. */
+struct ForkRig : testfork::ForkBoard {
+    using ForkBoard::ForkBoard;
 
     /** The explorer's branch: restore @p s, reseed the injector with
      *  @p st, die there and run to the leaf. */
@@ -350,14 +277,6 @@ struct ForkRig {
         l.supplyStats = statsText(fb.board.supply().stats());
         return l;
     }
-
-    const fault::FaultPlan noFaults;
-    fault::FaultedBoard fb;
-    fault::FaultInjector inj;
-    mem::ScopedSink as;
-    harness::ScenarioInstance env;
-    mem::WriteJournal journal;
-    mem::ScopedWriteJournal sj;
 };
 
 } // namespace
@@ -641,51 +560,6 @@ TEST(ForkReuse, CaptureWithoutARuntimeOverwritesEveryField)
     EXPECT_FALSE(reused.hasFiber);
     EXPECT_EQ(reused.fiber.low, 0u);
     EXPECT_TRUE(reused.fiber.bytes.empty());
-}
-
-TEST(ForkReuse, SteadyStateCaptureAndRestoreAllocateNothing)
-{
-    // Once a Snapshot has grown to a board's state, capturing into it
-    // again and restoring from it are plain copies.
-    const fault::CampaignConfig cfg = smallConfig();
-    for (const fault::PairSpec &spec : fault::campaignPairs(cfg)) {
-        SCOPED_TRACE(spec.app + "/" + spec.runtime);
-        const fault::PairRunOutcome ref =
-            fault::runPairWithPlan(cfg, spec, fault::FaultPlan{});
-        const std::uint64_t mid = std::max<std::uint64_t>(
-            1, countedEvents(ref) / 2);
-
-        ForkRig rig(cfg, spec);
-        board::Snapshot snap;
-        fault::InjectorState state;
-        std::uint64_t seen = 0;
-        std::uint64_t captureAllocs = ~std::uint64_t{0};
-        rig.inj.setHook([&](const fault::CountedEvent &) {
-            if (++seen != mid)
-                return;
-            rig.fb.board.snapshot(snap);
-            AllocationCount count;
-            rig.fb.board.snapshot(snap);
-            captureAllocs = count.allocations();
-            state = rig.inj.state();
-        });
-        rig.fb.board.beginRun(*rig.env.runtime, rig.env.entry, cfg.budget);
-        ASSERT_TRUE(rig.fb.board.continueRun().completed);
-        rig.inj.setHook(nullptr);
-        EXPECT_EQ(captureAllocs, 0u);
-
-        std::uint64_t restoreAllocs = 0;
-        {
-            AllocationCount count;
-            rig.fb.board.restore(snap);
-            restoreAllocs = count.allocations();
-        }
-        EXPECT_EQ(restoreAllocs, 0u);
-        rig.inj.setState(state);
-        rig.fb.supply.noteForcedDeath();
-        rig.fb.board.markInjectedDeath();
-        rig.fb.board.continueRun();
-    }
 }
 
 // ---- fork determinism and isolation ----------------------------------------

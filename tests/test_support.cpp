@@ -237,23 +237,22 @@ TEST(StatGroup, PrefixAssignmentKeepsGenerationAndSlots)
     const StatGroup snap = g; // slots a, lat: a prefix of g's below
     ++later;
     ++a;
-    using K = StatGroup::Kind;
-    const std::uint32_t slotA = g.slotOf(K::Counter, "a");
-    const std::uint32_t slotLat = g.slotOf(K::Distribution, "lat");
-    const std::uint32_t slotLater = g.slotOf(K::Counter, "later");
     const std::uint64_t gen = g.generation();
 
+    // The generation stays, so every handle bumps the slot it resolved
+    // before the assignment; the by-name values show that each of those
+    // slots still holds the handle's stat.
     g = snap;
     EXPECT_EQ(g.generation(), gen);
-    EXPECT_EQ(g.slotOf(K::Counter, "a"), slotA);
-    EXPECT_EQ(g.slotOf(K::Distribution, "lat"), slotLat);
-    EXPECT_EQ(g.slotOf(K::Counter, "later"), slotLater);
     ++a;
     ++later;
     lat.sample(4.0);
     EXPECT_EQ(g.counterValue("a"), 2u);
     EXPECT_EQ(g.counterValue("later"), 1u);
     EXPECT_EQ(g.distributions().at("lat").count(), 2u);
+    EXPECT_EQ(&a.get(), &g.counter("a"));
+    EXPECT_EQ(&later.get(), &g.counter("later"));
+    EXPECT_EQ(&lat.get(), &g.distribution("lat"));
 
     // Layouts that diverge move the generation; handles look up again.
     StatGroup other("grp");

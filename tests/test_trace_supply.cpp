@@ -196,9 +196,9 @@ TEST(TraceSupply, SnapshotRestoreReplaysByteIdentically)
     const TimeNs boot = s.offTimeAfterDeath(0);
     (void)s.drain(boot, 100 * kNsPerMs, 0.020);
 
-    StateWriter w;
+    StateBlob blob;
+    StateWriter w(blob);
     s.saveState(w);
-    const StateBlob blob = w.take();
 
     const TimeNs at = boot + 100 * kNsPerMs;
     const auto first = s.drain(at, 2 * kNsPerSec, 0.025);
@@ -308,9 +308,9 @@ walkOffTime(const TraceSupply::Config &cfg,
             TimeNs deathTime)
 {
     TraceSupply s(cfg, trace);
-    StateWriter w;
+    StateBlob blob;
+    StateWriter w(blob);
     w.put(v0);
-    const StateBlob blob = w.take();
     StateReader r(blob);
     s.loadState(r);
     const TimeNs off = s.offTimeAfterDeath(deathTime);
